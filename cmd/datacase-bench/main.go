@@ -1,208 +1,90 @@
 // Command datacase-bench regenerates the paper's tables and figures and
-// runs the repo's scaling experiments.
+// runs the repo's scaling experiments. Every experiment is one entry of
+// the registry in internal/benchx: the command parses flags, loops over
+// the selected entries, prints what each returns and — for those that
+// persist — writes BENCH_<name>.json and reads it back through the
+// entry's Check, which holds every acceptance gate.
 //
 // Usage:
 //
-//	datacase-bench -exp all                    # everything, quick scale
-//	datacase-bench -exp fig4a -records 100000  # one experiment, custom scale
-//	datacase-bench -exp table2 -paper          # paper-scale parameters
+//	datacase-bench -list                       # the registry, one line each
+//	datacase-bench -exp all                    # everything, default scale
+//	datacase-bench -exp all -scale ci          # what CI runs
+//	datacase-bench -exp table2 -scale paper    # the paper's parameters
+//	datacase-bench -exp fig4a -records 100000  # override the scale's size
 //	datacase-bench -exp fig4b -csv             # CSV series output
-//	datacase-bench -exp loadgen -workload wcon -clients 16
-//	                                           # closed-loop driver sweep;
-//	                                           # writes BENCH_loadgen.json
-//	datacase-bench -exp recovery -recovery-ops 20000,100000
-//	                                           # crash-recovery sweep: full
-//	                                           # replay vs checkpointed;
-//	                                           # writes BENCH_recovery.json
-//	datacase-bench -exp backend                # heap vs LSM on the full
-//	                                           # compliance stack; writes
-//	                                           # BENCH_backend.json
-//	datacase-bench -exp readpath -readpath-readers 1,4,16
-//	                                           # read-scaling sweep: shared
-//	                                           # lock + decision cache vs
-//	                                           # one-big-mutex baseline;
-//	                                           # writes BENCH_readpath.json
-//	datacase-bench -exp network -network-conns 64,256,1024
-//	                                           # wire-connection fleet
-//	                                           # through the gateway;
-//	                                           # writes BENCH_network.json
-//	datacase-bench -exp replication -repl-replicas 2
-//	                                           # WAL-shipping replica set:
-//	                                           # async lag vs barriered
-//	                                           # revocation latency; writes
-//	                                           # BENCH_replication.json
-//	datacase-bench -exp ingest -ingest-batches 1,16,256
-//	                                           # batched write admission ×
-//	                                           # full vs incremental
-//	                                           # checkpoints; writes
-//	                                           # BENCH_ingest.json
-//	datacase-bench -exp durableheap -dh-records 6000
-//	                                           # mmap durable-heap engine
-//	                                           # vs row-image backends:
-//	                                           # checkpoint + recovery
-//	                                           # cost; writes
-//	                                           # BENCH_durableheap.json
-//	datacase-bench -list                       # print the experiment
-//	                                           # registry and exit
+//	datacase-bench -exp shardscale -shards 1,4 -clients 4
+//	datacase-bench -exp ingest -out /tmp/run   # reports go to /tmp/run
 //
-// Experiments: table1, fig3, fig4a, fig4b, fig4c, table2, deleteonly,
-// shardscale, loadgen, recovery, backend, readpath, reshard, network,
-// replication, ingest, durableheap, all. An unknown
-// -exp value exits with status 2 and a usage message; -list prints the
-// registry with one-line descriptions and exits 0.
+// An unknown -exp value exits with status 2 and a usage message; a
+// failed run or a failed Check exits 1.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
+	"path/filepath"
 	"strings"
-	"time"
 
 	"github.com/datacase/datacase"
 )
 
-// experimentInfo is the closed registry of -exp values ("all" runs
-// each), with the one-line descriptions -list prints.
-var experimentInfo = []struct {
-	name, desc string
-}{
-	{"table1", "Table 1: erasure interpretations and their measured IR/II/Inv characteristics"},
-	{"fig3", "Figure 3: scheduler-driven data-erasure timeline"},
-	{"fig4a", "Figure 4(a): completion time of the four erasure strategies on WCus (storage level)"},
-	{"fig4b", "Figure 4(b): completion time of the three profiles across WPro/WCon/WCus/YCSB-C"},
-	{"fig4c", "Figure 4(c): profile completion time as the record count grows"},
-	{"table2", "Table 2: storage-space overhead per profile after a WCus run"},
-	{"deleteonly", "footnote: plain DELETE beats DELETE+VACUUM on a delete-only stream"},
-	{"shardscale", "shard-count sweep of the subject-sharded engine under concurrent clients"},
-	{"loadgen", "closed-loop concurrent load driver; writes BENCH_loadgen.json"},
-	{"recovery", "crash-recovery sweep, full replay vs checkpointed; writes BENCH_recovery.json"},
-	{"backend", "heap vs LSM compliance backends: Fig 4(a) series, Table 1 conformance and erase checks; writes BENCH_backend.json"},
-	{"readpath", "read-scaling sweep: shared-lock + decision cache vs one-big-mutex baseline; writes BENCH_readpath.json"},
-	{"reshard", "elastic resharding: Zipfian hot shard measured before/after a live rebalancer split; writes BENCH_reshard.json"},
-	{"network", "end-to-end network soak: a wire-connection fleet through the subject-routing gateway; writes BENCH_network.json"},
-	{"replication", "WAL-shipping replica set: async write lag vs synchronous revocation-barrier latency; writes BENCH_replication.json"},
-	{"ingest", "batched write admission sweep: batch size × backend × full/incremental checkpoints; writes BENCH_ingest.json"},
-	{"durableheap", "mmap durable-heap engine vs row-image backends: ingest, forced-checkpoint cost, crash recovery; writes BENCH_durableheap.json"},
-}
-
-// experimentNames returns the registry names in order.
-func experimentNames() []string {
-	names := make([]string, len(experimentInfo))
-	for i, e := range experimentInfo {
-		names[i] = e.name
-	}
-	return names
-}
-
-func knownExperiment(name string) bool {
-	if name == "all" {
-		return true
-	}
-	for _, e := range experimentInfo {
-		if e.name == name {
-			return true
-		}
-	}
-	return false
-}
-
 func main() {
+	registry := datacase.Experiments()
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.Name
+	}
+	scales := datacase.BenchScales()
+	scaleNames := make([]string, len(scales))
+	for i, s := range scales {
+		scaleNames[i] = s.Name
+	}
+
 	var (
-		list = flag.Bool("list", false,
-			"print the experiment registry with descriptions and exit")
-		exp = flag.String("exp", "all",
-			"experiment: "+strings.Join(experimentNames(), "|")+"|all")
-		records  = flag.Int("records", 0, "records (0 = scale default)")
-		txns     = flag.Int("txns", 0, "transactions (0 = scale default)")
-		paper    = flag.Bool("paper", false, "use the paper's scale (100k records; slower)")
-		seed     = flag.Int64("seed", 1, "workload seed")
-		csv      = flag.Bool("csv", false, "emit figures as CSV instead of tables")
-		factor   = flag.Int("fig4a-divisor", 5, "divide fig4a's 10K-70K txn sweep by this (1 = paper sweep)")
-		shards   = flag.String("shards", "1,4,16", "shard-count sweep for -exp shardscale")
-		clients  = flag.Int("clients", 8, "concurrent clients (shardscale; max of the loadgen sweep)")
-		workload = flag.String("workload", "wcon", "GDPRBench workload for -exp loadgen: wcon|wpro|wcus|all")
-		shardN   = flag.Int("loadgen-shards", 16, "shard count for -exp loadgen")
-		out      = flag.String("out", "BENCH_loadgen.json", "JSON output path for -exp loadgen")
-		walcmp   = flag.Bool("wal-compare", false, "loadgen: also run the per-append-locking WAL baseline")
-
-		recOps    = flag.String("recovery-ops", "20000,100000", "ops sweep for -exp recovery (WAL lengths)")
-		recRecs   = flag.Int("recovery-records", 5000, "preloaded records for -exp recovery")
-		recShards = flag.Int("recovery-shards", 8, "shard count for -exp recovery")
-		recEvery  = flag.Int("recovery-checkpoint-every", 2000, "per-shard checkpoint interval (ops) for -exp recovery")
-		recOut    = flag.String("recovery-out", "BENCH_recovery.json", "JSON output path for -exp recovery")
-
-		backendOut = flag.String("backend-out", "BENCH_backend.json", "JSON output path for -exp backend")
-
-		rpReaders = flag.String("readpath-readers", "1,4,16", "reader sweep for -exp readpath")
-		rpShards  = flag.Int("readpath-shards", 1, "shard count for -exp readpath (fixed across the sweep)")
-		rpRecords = flag.Int("readpath-records", 500, "preloaded records for -exp readpath")
-		rpOps     = flag.Int("readpath-ops", 4000, "total reads per sweep point for -exp readpath")
-		rpStall   = flag.Int("readpath-stall-micros", 200,
-			"modeled per-payload device latency in µs for -exp readpath (0 disables the model)")
-		rpOut = flag.String("readpath-out", "BENCH_readpath.json", "JSON output path for -exp readpath")
-
-		rsShards   = flag.Int("reshard-shards", 3, "opening shard count for -exp reshard (>= 3)")
-		rsSubjects = flag.Int("reshard-subjects", 16, "hot subjects pinned to one shard for -exp reshard")
-		rsRecords  = flag.Int("reshard-records", 256, "preloaded records for -exp reshard")
-		rsClients  = flag.Int("reshard-clients", 8, "closed-loop writer count for -exp reshard")
-		rsOps      = flag.Int("reshard-ops", 4000, "updates per measured phase for -exp reshard")
-		rsZipf     = flag.Float64("reshard-zipf", 0.9, "subject-selection Zipf exponent for -exp reshard")
-		rsStall    = flag.Int("reshard-stall-micros", 150,
-			"modeled per-payload device latency in µs for -exp reshard")
-		rsOut = flag.String("reshard-out", "BENCH_reshard.json", "JSON output path for -exp reshard")
-
-		netConns   = flag.String("network-conns", "64,256,1024", "connection-count sweep for -exp network")
-		netRecords = flag.Int("network-records", 2000, "preloaded records for -exp network")
-		netOps     = flag.Int("network-ops", 4000, "total ops per sweep point for -exp network")
-		netServers = flag.Int("network-servers", 2, "self-hosted server count for -exp network")
-		netShards  = flag.Int("network-shards", 4, "shards per server for -exp network")
-		netGateway = flag.String("network-gateway", "",
-			"existing gateway address for -exp network (empty = self-host the topology in-process)")
-		netOut = flag.String("network-out", "BENCH_network.json", "JSON output path for -exp network")
-
-		replShards   = flag.Int("repl-shards", 2, "primary shard count for -exp replication")
-		replReplicas = flag.Int("repl-replicas", 2, "replica-set size for -exp replication")
-		replRecords  = flag.Int("repl-records", 200, "preloaded records for -exp replication")
-		replWrites   = flag.Int("repl-writes", 200, "lag-sampled async creates for -exp replication")
-		replRevokes  = flag.Int("repl-revokes", 50, "measured revocation barriers for -exp replication")
-		replErases   = flag.Int("repl-erases", 10, "measured erasure barriers for -exp replication")
-		replOut      = flag.String("repl-out", "BENCH_replication.json", "JSON output path for -exp replication")
-
-		ingBatches = flag.String("ingest-batches", "1,16,256", "batch-size sweep for -exp ingest")
-		ingRecords = flag.Int("ingest-records", 4096, "records ingested per sweep point for -exp ingest")
-		ingShards  = flag.Int("ingest-shards", 4, "shard count for -exp ingest")
-		ingEvery   = flag.Int("ingest-checkpoint-every", 64, "per-shard checkpoint interval (ops) for -exp ingest")
-		ingOut     = flag.String("ingest-out", "BENCH_ingest.json", "JSON output path for -exp ingest")
-
-		dhRecords    = flag.Int("dh-records", 6000, "records ingested per backend for -exp durableheap")
-		dhValueBytes = flag.Int("dh-value-bytes", 4096, "payload bytes per record for -exp durableheap")
-		dhShards     = flag.Int("dh-shards", 4, "shard count for -exp durableheap")
-		dhCkpts      = flag.Int("dh-checkpoints", 3, "forced touch-then-checkpoint cycles for -exp durableheap")
-		dhOut        = flag.String("dh-out", "BENCH_durableheap.json", "JSON output path for -exp durableheap")
+		list      = flag.Bool("list", false, "print the experiment registry with descriptions and exit")
+		exp       = flag.String("exp", "all", "experiment: "+strings.Join(names, "|")+"|all")
+		scaleName = flag.String("scale", scaleNames[0],
+			"parameter preset: "+strings.Join(scaleNames, "|")+" (ci = small smoke sizes, paper = 100k records; slower)")
+		records = flag.Int("records", 0, "records (0 = the scale's)")
+		txns    = flag.Int("txns", 0, "transactions (0 = the scale's)")
+		seed    = flag.Int64("seed", 1, "workload seed")
+		shards  = flag.String("shards", "", "shard-count sweep for -exp shardscale, e.g. 1,4,16 (empty = the scale's)")
+		clients = flag.Int("clients", 0, "concurrent clients: shardscale, and the top of the loadgen sweep (0 = the scale's)")
+		csv     = flag.Bool("csv", false, "emit figures as CSV instead of tables")
+		out     = flag.String("out", ".", "directory the BENCH_<exp>.json reports are written to")
 	)
 	flag.Parse()
 
 	if *list {
 		fmt.Println("experiments (-exp <name>, or all):")
-		for _, e := range experimentInfo {
-			fmt.Printf("  %-12s %s\n", e.name, e.desc)
+		for _, e := range registry {
+			fmt.Printf("  %-12s %s\n", e.Name, e.Desc)
 		}
 		return
 	}
 
-	if !knownExperiment(*exp) {
-		fmt.Fprintf(os.Stderr, "datacase-bench: unknown experiment %q (want %s or all)\n",
-			*exp, strings.Join(experimentNames(), ", "))
-		flag.Usage()
-		os.Exit(2)
+	selected := registry
+	if *exp != "all" {
+		e, ok := datacase.LookupExperiment(*exp)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "datacase-bench: unknown experiment %q (want %s or all)\n",
+				*exp, strings.Join(names, ", "))
+			flag.Usage()
+			os.Exit(2)
+		}
+		selected = []datacase.Experiment{e}
 	}
 
-	scale := datacase.DefaultScale()
-	if *paper {
-		scale = datacase.PaperScale()
-		*factor = 1
+	var scale datacase.Scale
+	for _, s := range scales {
+		if s.Name == *scaleName {
+			scale = s
+		}
+	}
+	if scale.Name == "" {
+		fail(fmt.Errorf("unknown scale %q (want %s)", *scaleName, strings.Join(scaleNames, ", ")))
 	}
 	if *records > 0 {
 		scale.Records = *records
@@ -210,414 +92,50 @@ func main() {
 	if *txns > 0 {
 		scale.Txns = *txns
 	}
+	if *clients > 0 {
+		scale.Clients = *clients
+	}
+	if *shards != "" {
+		sweep, err := datacase.ParseIntList(*shards)
+		fail(err)
+		scale.Shards = sweep
+	}
 	scale.Seed = *seed
 
-	// ran guards against the experiments list and the dispatch blocks
-	// drifting apart: a name that validates but matches no block would
-	// otherwise silently do nothing.
-	ran := false
-	run := func(name string) bool {
-		hit := *exp == "all" || *exp == name
-		ran = ran || hit
-		return hit
-	}
-
-	if run("table1") {
-		rows, err := datacase.Table1()
-		fail(err)
-		fmt.Println(datacase.RenderTable1(rows))
-	}
-	if run("fig3") {
-		lines, err := datacase.Fig3Timeline()
-		fail(err)
-		fmt.Println("Figure 3: data erasure timeline (scheduler-driven)")
-		fmt.Println(strings.Join(lines, "\n"))
-		fmt.Println()
-	}
-	if run("fig4a") {
-		fmt.Printf("running fig4a (records=%d, txn sweep 10K-70K ÷%d)...\n", scale.Records, *factor)
-		fig, err := datacase.Fig4a(scale, *factor)
-		fail(err)
-		render(fig, nil, *csv)
-	}
-	if run("fig4b") {
-		fmt.Printf("running fig4b (records=%d, txns=%d)...\n", scale.Records, scale.Txns)
-		fig, err := datacase.Fig4b(scale)
-		fail(err)
-		render(fig, datacase.Fig4bWorkloads(), *csv)
-	}
-	if run("fig4c") {
-		fmt.Printf("running fig4c (records sweep %d-%d, txns=%d)...\n",
-			scale.Records, scale.Records*5, scale.Txns)
-		lines, bars, err := datacase.Fig4c(scale)
-		fail(err)
-		render(lines, nil, *csv)
-		render(bars, nil, *csv)
-	}
-	if run("table2") {
-		fmt.Printf("running table2 (records=%d, txns=%d, WCus)...\n", scale.Records, scale.Txns)
-		reports, err := datacase.Table2(scale)
-		fail(err)
-		fmt.Println("Table 2: storage space overhead")
-		for _, r := range reports {
-			fmt.Printf("  %s\n", r)
-		}
-		fmt.Println()
-	}
-	if run("deleteonly") {
-		fmt.Printf("running delete-only footnote (records=%d)...\n", scale.Records)
-		for _, s := range []datacase.EraseStrategy{datacase.StratDelete, datacase.StratVacuum} {
-			r, err := datacase.RunDeleteOnlyWorkload(s, scale.Records, scale.Seed)
+	for _, e := range selected {
+		params := ""
+		if e.Params != nil {
+			p, err := e.Params(scale)
 			fail(err)
-			fmt.Printf("  %s\n", r)
+			params = fmt.Sprintf(" %+v", p)
 		}
-		fmt.Println("  (expected: plain DELETE wins on a delete-only workload — the paper's footnote)")
-		fmt.Println()
-	}
-	if run("shardscale") {
-		sweep, err := parseShards(*shards)
+		fmt.Printf("running %s (scale=%s records=%d txns=%d seed=%d%s)...\n",
+			e.Name, scale.Name, scale.Records, scale.Txns, scale.Seed, params)
+		res, err := e.Run(scale)
 		fail(err)
-		fmt.Printf("running shardscale (records=%d, txns=%d, shards=%v, clients=%d)...\n",
-			scale.Records, scale.Txns, sweep, *clients)
-		fig, err := datacase.ShardScaling(scale, sweep, *clients)
-		fail(err)
-		render(fig, nil, *csv)
-	}
-	if run("loadgen") {
-		runLoadgen(scale, *workload, *clients, *shardN, *out, *walcmp, *csv)
-	}
-	if run("recovery") {
-		runRecovery(scale, *recOps, *recRecs, *recShards, *recEvery, *recOut, *csv)
-	}
-	if run("backend") {
-		runBackend(scale, *factor, *backendOut, *csv)
-	}
-	if run("readpath") {
-		runReadPath(*rpReaders, *rpShards, *rpRecords, *rpOps, *rpStall, *rpOut, *csv)
-	}
-	if run("reshard") {
-		runReshard(*rsShards, *rsSubjects, *rsRecords, *rsClients, *rsOps, *rsZipf, *rsStall, *seed, *rsOut)
-	}
-	if run("network") {
-		runNetwork(*workload, *netConns, *netRecords, *netOps, *netServers, *netShards, *netGateway, *seed, *netOut)
-	}
-	if run("replication") {
-		runReplication(*replShards, *replReplicas, *replRecords, *replWrites, *replRevokes, *replErases, *seed, *replOut)
-	}
-	if run("ingest") {
-		runIngest(*ingBatches, *ingRecords, *ingShards, *ingEvery, *ingOut, *csv)
-	}
-	if run("durableheap") {
-		runDurableHeap(*dhRecords, *dhValueBytes, *dhShards, *dhCkpts, *seed, *dhOut, *csv)
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr,
-			"datacase-bench: experiment %q validated but matched no dispatch block (list/dispatch drift)\n", *exp)
-		os.Exit(2)
-	}
-}
-
-// runLoadgen drives the closed-loop driver over a client sweep for the
-// selected workload(s), renders the completion-time figure and writes
-// the machine-readable BENCH_loadgen.json report.
-func runLoadgen(scale datacase.Scale, workload string, clients, shards int, out string, walcmp, csv bool) {
-	var workloads []datacase.GDPRWorkload
-	if strings.EqualFold(strings.TrimSpace(workload), "all") {
-		workloads = datacase.GDPRWorkloads()
-	} else {
-		w, err := datacase.ParseWorkload(workload)
-		fail(err)
-		workloads = []datacase.GDPRWorkload{w}
-	}
-	sweep := datacase.ClientSweepUpTo(clients)
-	// The serial-WAL baseline pairs with the sweep's top client count,
-	// whatever -clients resolved to.
-	topClients := sweep[len(sweep)-1]
-	fmt.Printf("running loadgen (records=%d, ops=%d, shards=%d, clients=%v, workloads=%v)...\n",
-		scale.Records, scale.Txns, shards, sweep, workloads)
-
-	var results []datacase.LoadgenResult
-	for _, w := range workloads {
-		rs, err := datacase.LoadgenSweep(datacase.PBase(), w, scale, shards, sweep)
-		fail(err)
-		results = append(results, rs...)
-		if walcmp {
-			// The per-append-locking baseline at the highest client
-			// count, isolating the WAL commit protocol.
-			profile := datacase.PBase()
-			profile.SerialWAL = true
-			serial, err := datacase.RunLoadgen(datacase.LoadgenConfig{
-				Profile:  profile,
-				Workload: w,
-				Records:  scale.Records,
-				Ops:      scale.Txns,
-				Clients:  topClients,
-				Shards:   shards,
-				Seed:     scale.Seed,
-			})
-			fail(err)
-			results = append(results, serial)
+		for _, line := range res.Lines {
+			fmt.Println(line)
 		}
-	}
-	for _, r := range results {
-		fail(r.Validate())
-		fmt.Printf("  %s\n", r)
-	}
-	render(datacase.LoadgenFigure(results), nil, csv)
-	fail(datacase.WriteLoadgenJSON(out, results))
-	fmt.Printf("wrote %s (%d results)\n", out, len(results))
-}
-
-// runRecovery sweeps WAL lengths, recovering each crashed deployment
-// twice — full-log replay vs checkpointed — and writes the
-// machine-readable BENCH_recovery.json report.
-func runRecovery(scale datacase.Scale, opsCSV string, records, shards, every int, out string, csv bool) {
-	sweep, err := parseShards(opsCSV) // same "positive ints, comma-separated" grammar
-	fail(err)
-	fmt.Printf("running recovery (records=%d, shards=%d, ops sweep=%v, checkpoint every %d ops/shard)...\n",
-		records, shards, sweep, every)
-	results, err := datacase.RecoverySweep(datacase.PBase(), sweep, records, shards, every, scale.Seed)
-	fail(err)
-	for _, r := range results {
-		fail(r.Validate())
-		fmt.Printf("  %s\n", r)
-	}
-	// Pairs are (full, checkpointed) per sweep point; report the speedup.
-	for i := 0; i+1 < len(results); i += 2 {
-		full, ckpt := results[i], results[i+1]
-		verdict := "FASTER"
-		if ckpt.RecoverSeconds >= full.RecoverSeconds {
-			verdict = "NOT faster (increase the sweep: checkpoint wins grow with WAL length)"
-		}
-		fmt.Printf("  ops=%d: checkpointed recovery %.2fx of full replay — %s\n",
-			full.Ops, ckpt.RecoverSeconds/full.RecoverSeconds, verdict)
-	}
-	render(datacase.RecoveryFigure(results), nil, csv)
-	fail(datacase.WriteRecoveryJSON(out, results))
-	fmt.Printf("wrote %s (%d results)\n", out, len(results))
-}
-
-// runBackend runs the heap-vs-LSM comparison on the full compliance
-// stack, renders the completion-time figure and the conformance rows,
-// and writes the machine-readable BENCH_backend.json report.
-func runBackend(scale datacase.Scale, factor int, out string, csv bool) {
-	fmt.Printf("running backend comparison (records=%d, txn sweep 10K-70K ÷%d, backends=%v)...\n",
-		scale.Records, factor, datacase.Backends())
-	rep, err := datacase.RunBackendComparison(scale, factor)
-	fail(err)
-	for _, r := range rep.Results {
-		fail(r.Validate())
-		fmt.Printf("  %s\n", r)
-	}
-	fmt.Println("Table 1 conformance per backend:")
-	for _, row := range rep.Table1 {
-		fmt.Printf("  %-4s %-26s conforms=%v\n", row.Backend, row.Interpretation, row.Conforms)
-	}
-	for _, c := range rep.EraseChecks {
-		fail(c.Validate())
-		fmt.Printf("  %s\n", c)
-	}
-	render(datacase.BackendFigure(rep.Results), nil, csv)
-	fail(datacase.WriteBackendJSON(out, rep))
-	fmt.Printf("wrote %s (%d results, %d table1 rows, %d erase checks)\n",
-		out, len(rep.Results), len(rep.Table1), len(rep.EraseChecks))
-}
-
-// runReadPath sweeps reader counts over both backends with the decision
-// cache on and off, plus the exclusive-lock baseline, renders the
-// throughput figure and writes (then re-reads, enforcing the >= 3x
-// read-scaling property) the machine-readable BENCH_readpath.json.
-func runReadPath(readersCSV string, shards, records, ops, stallMicros int, out string, csv bool) {
-	readers, err := parseShards(readersCSV) // same "positive ints" grammar
-	fail(err)
-	stall := time.Duration(stallMicros) * time.Microsecond
-	fmt.Printf("running readpath (records=%d, ops=%d, shards=%d, readers=%v, io-stall=%v, backends=%v)...\n",
-		records, ops, shards, readers, stall, datacase.Backends())
-	results, err := datacase.ReadPathSweep(datacase.Backends(), readers, shards, records, ops, stall, 1)
-	fail(err)
-	for _, r := range results {
-		fail(r.Validate())
-		fmt.Printf("  %s\n", r)
-	}
-	render(datacase.ReadPathFigure(results), nil, csv)
-	fail(datacase.WriteReadPathJSON(out, results))
-	rep, err := datacase.ReadReadPathJSON(out)
-	fail(err)
-	for _, backend := range datacase.Backends() {
-		for _, cache := range []bool{false, true} {
-			if factor, ok := rep.ReadScaling(backend, cache); ok {
-				fmt.Printf("  %s cache=%-5v: widest sweep point delivers %.1fx single-reader throughput\n",
-					backend, cache, factor)
+		for _, fig := range res.Figures {
+			if *csv {
+				fmt.Println(fig.Title)
+				fmt.Print(datacase.RenderFigureCSV(fig))
+			} else {
+				fmt.Print(datacase.RenderFigure(fig))
 			}
+			fmt.Println()
 		}
-	}
-	fmt.Printf("wrote %s (%d results)\n", out, len(results))
-}
-
-// runReshard runs the elastic-resharding experiment on both backends:
-// a Zipfian hot-subject workload pinned to one shard, measured before
-// and after a live rebalancer-driven split, then writes (and re-reads,
-// enforcing the >= 1.5x post-split speedup floor) BENCH_reshard.json.
-func runReshard(shards, subjects, records, clients, ops int, zipfS float64, stallMicros int, seed int64, out string) {
-	stall := time.Duration(stallMicros) * time.Microsecond
-	fmt.Printf("running reshard (shards=%d, subjects=%d, records=%d, clients=%d, ops/phase=%d, zipf=%.2f, io-stall=%v, backends=%v)...\n",
-		shards, subjects, records, clients, ops, zipfS, stall, datacase.Backends())
-	var results []datacase.ReshardResult
-	for _, backend := range datacase.Backends() {
-		r, err := datacase.RunReshard(datacase.ReshardConfig{
-			Backend: backend, Shards: shards, Subjects: subjects,
-			Records: records, Clients: clients, OpsPerPhase: ops,
-			ZipfS: zipfS, IOStall: stall, Seed: seed,
-		})
-		fail(err)
-		fail(r.Validate())
-		fmt.Printf("  %s\n", r)
-		results = append(results, r)
-	}
-	fail(datacase.WriteReshardJSON(out, results))
-	_, err := datacase.ReadReshardJSON(out)
-	fail(err)
-	fmt.Printf("wrote %s (%d results, all above the %.1fx speedup floor)\n",
-		out, len(results), benchxReshardFloor)
-}
-
-// benchxReshardFloor mirrors the library's acceptance floor for the
-// summary line.
-const benchxReshardFloor = 1.5
-
-// runNetwork sweeps connection counts through the wire stack — a
-// self-hosted servers+gateway topology by default, or an external
-// gateway via -network-gateway — then writes and re-reads (validating)
-// the machine-readable BENCH_network.json.
-func runNetwork(workload, connsCSV string, records, ops, servers, shards int, gateway string, seed int64, out string) {
-	w, err := datacase.ParseWorkload(workload)
-	fail(err)
-	conns, err := parseShards(connsCSV) // same "positive ints" grammar
-	fail(err)
-	where := fmt.Sprintf("self-hosted %d×%d", servers, shards)
-	if gateway != "" {
-		where = "gateway " + gateway
-	}
-	fmt.Printf("running network (records=%d, ops=%d, conns=%v, %s, workload=%s)...\n",
-		records, ops, conns, where, w)
-	results, err := datacase.NetworkSweep(datacase.NetworkConfig{
-		Workload: w, Records: records, Ops: ops,
-		Servers: servers, ShardsPerServer: shards,
-		GatewayAddr: gateway, Seed: seed,
-	}, conns)
-	fail(err)
-	for _, r := range results {
-		fail(r.Validate())
-		fmt.Printf("  %s\n", r)
-	}
-	fail(datacase.WriteNetworkJSON(out, results))
-	_, err = datacase.ReadNetworkJSON(out)
-	fail(err)
-	fmt.Printf("wrote %s (%d results)\n", out, len(results))
-}
-
-// runReplication measures the WAL-shipping replica set on both
-// backends — async write lag against the synchronous
-// revocation-barrier latency — then writes and re-reads (validating
-// the zero-violation barrier property) BENCH_replication.json.
-func runReplication(shards, replicas, records, writes, revokes, erases int, seed int64, out string) {
-	fmt.Printf("running replication (shards=%d, replicas=%d, records=%d, writes=%d, revokes=%d, erases=%d, backends=%v)...\n",
-		shards, replicas, records, writes, revokes, erases, datacase.Backends())
-	var results []datacase.ReplicationResult
-	for _, backend := range datacase.Backends() {
-		r, err := datacase.RunReplication(datacase.ReplicationConfig{
-			Backend: backend, Shards: shards, Replicas: replicas,
-			Records: records, Writes: writes, Revokes: revokes,
-			Erases: erases, Seed: seed,
-		})
-		fail(err)
-		fail(r.Validate())
-		fmt.Printf("  %s\n", r)
-		results = append(results, r)
-	}
-	fail(datacase.WriteReplicationJSON(out, results))
-	_, err := datacase.ReadReplicationJSON(out)
-	fail(err)
-	fmt.Printf("wrote %s (%d results, zero barrier violations)\n", out, len(results))
-}
-
-// runIngest sweeps batch sizes over both backends with full and
-// incremental checkpoints, renders the throughput figure and writes
-// (then re-reads, enforcing the batch-speedup and delta-ratio gates)
-// the machine-readable BENCH_ingest.json.
-func runIngest(batchesCSV string, records, shards, every int, out string, csv bool) {
-	batches, err := parseShards(batchesCSV) // same "positive ints" grammar
-	fail(err)
-	fmt.Printf("running ingest (records=%d, shards=%d, batches=%v, checkpoint every %d ops/shard, backends=%v)...\n",
-		records, shards, batches, every, datacase.Backends())
-	var results []datacase.IngestResult
-	for _, backend := range datacase.Backends() {
-		for _, incremental := range []bool{false, true} {
-			for _, bs := range batches {
-				r, err := datacase.RunIngest(backend, records, bs, shards, every, incremental)
-				fail(err)
-				fail(r.Validate())
-				fmt.Printf("  %s\n", r)
-				results = append(results, r)
-			}
-		}
-	}
-	render(datacase.IngestFigure(results), nil, csv)
-	fail(datacase.WriteIngestJSON(out, results))
-	_, err = datacase.ReadIngestJSON(out)
-	fail(err)
-	fmt.Printf("wrote %s (%d results, batch speedups above the floor)\n", out, len(results))
-}
-
-// runDurableHeap runs the durable-heap engine comparison across all
-// three backends — timed ingest, forced-checkpoint cost, crash
-// recovery — then writes and re-reads (enforcing the >= 2x recovery
-// and >= 5x checkpoint-cost floors) BENCH_durableheap.json.
-func runDurableHeap(records, valueBytes, shards, checkpoints int, seed int64, out string, csv bool) {
-	fmt.Printf("running durableheap (records=%d, value-bytes=%d, shards=%d, checkpoints=%d, backends=%v)...\n",
-		records, valueBytes, shards, checkpoints, datacase.DurableHeapBackends())
-	rep, err := datacase.DurableHeapSweep(records, valueBytes, shards, checkpoints, seed)
-	fail(err)
-	for _, r := range rep.Results {
-		fail(r.Validate())
-		fmt.Printf("  %s\n", r)
-	}
-	render(datacase.DurableHeapFigure(rep), nil, csv)
-	fail(datacase.WriteDurableHeapJSON(out, rep))
-	_, err = datacase.ReadDurableHeapJSON(out)
-	fail(err)
-	fmt.Printf("wrote %s (%d results, above the recovery and checkpoint-cost floors)\n",
-		out, len(rep.Results))
-}
-
-// parseShards parses a comma-separated shard-count sweep like "1,4,16".
-func parseShards(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
+		if res.Report == nil {
 			continue
 		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad shard count %q", part)
-		}
-		out = append(out, n)
+		path := filepath.Join(*out, e.File())
+		fail(datacase.WriteBenchReport(path, *res.Report, scale.Name))
+		// Reading the report back runs the experiment's Check on what
+		// was actually written.
+		_, err = datacase.ReadBenchReport(path, e)
+		fail(err)
+		fmt.Printf("wrote %s (every %s gate holds)\n\n", path, e.Name)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty shard sweep %q", s)
-	}
-	return out, nil
-}
-
-func render(fig datacase.Figure, xnames []string, csv bool) {
-	if csv {
-		fmt.Println(fig.Title)
-		fmt.Print(datacase.RenderFigureCSV(fig))
-	} else {
-		fmt.Print(datacase.RenderFigure(fig, xnames))
-	}
-	fmt.Println()
 }
 
 func fail(err error) {

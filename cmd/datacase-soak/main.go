@@ -1,8 +1,8 @@
 // Command datacase-soak measures the serving stack end to end: a fleet
 // of closed-loop wire connections replays a GDPRBench workload through
 // a subject-routing gateway and reports end-to-end latency quantiles
-// (p50/p95/p99) and throughput per connection count, as the
-// machine-readable BENCH_network.json.
+// (p50/p95/p99) and throughput per connection count, as a
+// machine-readable BENCH_network.json in the shared report envelope.
 //
 // By default it self-hosts the topology in-process — -servers wire
 // servers of -shards shards each behind one gateway — so a single
@@ -10,7 +10,8 @@
 //
 //	datacase-soak -conns 64,256,1024 -records 2000 -ops 20000
 //
-// Point it at a running deployment instead with -gateway:
+// Point it at a running deployment instead with -gateway (the only
+// binary that does; datacase-bench -exp network always self-hosts):
 //
 //	datacase-soak -gateway 127.0.0.1:7000 -conns 256
 package main
@@ -19,8 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"github.com/datacase/datacase"
 )
@@ -41,7 +40,7 @@ func main() {
 
 	w, err := datacase.ParseWorkload(*workload)
 	fail(err)
-	conns, err := parseConns(*connsCSV)
+	conns, err := datacase.ParseIntList(*connsCSV)
 	fail(err)
 
 	where := fmt.Sprintf("self-hosted %d servers × %d shards", *servers, *shards)
@@ -61,30 +60,8 @@ func main() {
 		fail(r.Validate())
 		fmt.Printf("  %s\n", r)
 	}
-	fail(datacase.WriteNetworkJSON(*out, results))
-	if _, err := datacase.ReadNetworkJSON(*out); err != nil {
-		fail(fmt.Errorf("written report failed validation: %w", err))
-	}
+	fail(datacase.WriteBenchReport(*out, datacase.BenchReport{Benchmark: "network", Results: results}, ""))
 	fmt.Printf("wrote %s (%d results)\n", *out, len(results))
-}
-
-func parseConns(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad connection count %q", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty connection sweep %q", s)
-	}
-	return out, nil
 }
 
 func fail(err error) {

@@ -373,7 +373,8 @@ var (
 // ---- Experiments (§4; Figures 3, 4(a)-(c); Tables 1-2) ----
 
 type (
-	// Scale sizes an experiment run.
+	// Scale sizes an experiment run and names the parameter preset the
+	// registry's experiments resolve.
 	Scale = benchx.Scale
 	// Figure is a rendered experiment result.
 	Figure = benchx.Figure
@@ -385,6 +386,13 @@ type (
 	GDPRWorkload = gdprbench.WorkloadName
 	// YCSBWorkload names a YCSB workload.
 	YCSBWorkload = ycsb.WorkloadName
+	// Experiment is one entry of the experiment registry: its name and
+	// description, how to run it at a Scale, and the one Check that
+	// holds every acceptance gate on its report.
+	Experiment = benchx.Experiment
+	// BenchReport is the one BENCH_*.json envelope (benchmark, schema,
+	// env, results) every experiment writes and reads.
+	BenchReport = benchx.Report
 )
 
 // Workload names.
@@ -399,10 +407,24 @@ const (
 
 // Experiment entry points.
 var (
-	// DefaultScale is the quick-run configuration.
+	// Experiments returns the registry in run order.
+	Experiments = benchx.Experiments
+	// LookupExperiment finds a registry entry by name.
+	LookupExperiment = benchx.Lookup
+	// WriteBenchReport stamps schema and environment into a report and
+	// writes it; ReadBenchReport parses one as a given experiment's and
+	// runs that experiment's Check.
+	WriteBenchReport = benchx.WriteReport
+	ReadBenchReport  = benchx.ReadReport
+	// DefaultScale is the quick-run configuration, CIScale the smoke
+	// configuration CI runs every experiment at, PaperScale the paper's
+	// record/txn counts; BenchScales lists all three.
 	DefaultScale = benchx.DefaultScale
-	// PaperScale matches the paper's record/txn counts.
-	PaperScale = benchx.PaperScale
+	CIScale      = benchx.CIScale
+	PaperScale   = benchx.PaperScale
+	BenchScales  = benchx.Scales
+	// ParseIntList parses a comma-separated sweep of positive integers.
+	ParseIntList = benchx.ParseInts
 	// Table1 regenerates Table 1 on a live system.
 	Table1 = benchx.Table1
 	// RenderTable1 renders Table 1.
@@ -413,8 +435,6 @@ var (
 	Fig4a = benchx.Fig4a
 	// Fig4b regenerates Figure 4(b).
 	Fig4b = benchx.Fig4b
-	// Fig4bWorkloads labels Figure 4(b)'s x-axis.
-	Fig4bWorkloads = benchx.Fig4bWorkloads
 	// Fig4c regenerates Figure 4(c).
 	Fig4c = benchx.Fig4c
 	// Table2 regenerates Table 2.
@@ -455,21 +475,50 @@ const (
 	StratTombstone  = benchx.StratTombstone
 )
 
-// ---- Closed-loop load driver (loadgen) and the group-commit WAL ----
+// ---- Single measurements of the repo's own experiments ----
+//
+// The registry (Experiments) runs each of these as a sweep, gates it
+// and writes its BENCH_*.json; the entry points below run one point.
 
 type (
 	// LoadgenConfig sizes one closed-loop loadgen run.
 	LoadgenConfig = loadgen.Config
-	// LoadgenResult is the machine-readable outcome of one run (the
-	// BENCH_loadgen.json row schema).
+	// LoadgenResult is one BENCH_loadgen.json row.
 	LoadgenResult = loadgen.Result
-	// LoadgenReport is the BENCH_loadgen.json document envelope.
-	LoadgenReport = loadgen.Report
 	// LatencyHistogram is the driver's lock-free HDR-style histogram.
 	LatencyHistogram = loadgen.Histogram
 	// WALStats describes a log's commit work (appends vs syncs; fewer
 	// syncs than appends means group commit amortized durability).
 	WALStats = wal.Stats
+	// RecoveryResult is one BENCH_recovery.json row: recovery time and
+	// replay work for one crashed-and-rebuilt deployment.
+	RecoveryResult = benchx.RecoveryResult
+	// BackendResult is one (backend, txns) point of BENCH_backend.json.
+	BackendResult = benchx.BackendResult
+	// BackendEraseCheck is the per-backend erase-physicality evidence.
+	BackendEraseCheck = benchx.BackendEraseCheck
+	// ReadPathConfig sizes one read-path measurement.
+	ReadPathConfig = benchx.ReadPathConfig
+	// ReadPathResult is one BENCH_readpath.json row.
+	ReadPathResult = benchx.ReadPathResult
+	// IngestResult is one BENCH_ingest.json row: throughput and
+	// checkpoint bytes for one (backend, batch size, checkpoint mode).
+	IngestResult = benchx.IngestResult
+	// DurableHeapResult is one BENCH_durableheap.json row: ingest,
+	// forced-checkpoint and recovery wall time for one backend.
+	DurableHeapResult = benchx.DurableHeapResult
+	// NetworkConfig sizes one end-to-end network measurement.
+	NetworkConfig = loadgen.NetworkConfig
+	// NetworkResult is one BENCH_network.json row.
+	NetworkResult = loadgen.NetworkResult
+	// ReshardConfig sizes one resharding measurement.
+	ReshardConfig = benchx.ReshardConfig
+	// ReshardResult is one BENCH_reshard.json row.
+	ReshardResult = benchx.ReshardResult
+	// ReplicationConfig sizes one replication measurement.
+	ReplicationConfig = benchx.ReplicationConfig
+	// ReplicationResult is one BENCH_replication.json row.
+	ReplicationResult = benchx.ReplicationResult
 )
 
 var (
@@ -480,98 +529,55 @@ var (
 	// LoadgenWALComparison pairs a group-commit run with a
 	// per-append-locking run of the same configuration.
 	LoadgenWALComparison = loadgen.WALComparison
-	// WriteLoadgenJSON writes results as a BENCH_loadgen.json document.
-	WriteLoadgenJSON = loadgen.WriteJSON
-	// ReadLoadgenJSON parses and validates a BENCH_loadgen.json file.
-	ReadLoadgenJSON = loadgen.ReadJSON
-	// LoadgenSweep runs the driver at each client count.
-	LoadgenSweep = benchx.LoadgenSweep
-	// LoadgenFigure renders sweep results as a figure.
-	LoadgenFigure = benchx.LoadgenFigure
-	// DefaultClientSweep is the 1/4/16 client sweep.
-	DefaultClientSweep = benchx.DefaultClientSweep
-	// ClientSweepUpTo truncates the default sweep at a client count.
-	ClientSweepUpTo = benchx.ClientSweepUpTo
 	// ParseWorkload maps CLI spellings (wcon/wpro/wcus) to workloads.
 	ParseWorkload = gdprbench.ParseWorkload
-	// GDPRWorkloads lists the three GDPRBench workloads.
-	GDPRWorkloads = gdprbench.Workloads
-)
-
-// ---- Crash-recovery experiment (-exp recovery) ----
-
-type (
-	// RecoveryResult is one BENCH_recovery.json row: recovery time and
-	// replay work for one crashed-and-rebuilt deployment.
-	RecoveryResult = benchx.RecoveryResult
-	// RecoveryReport is the BENCH_recovery.json document envelope.
-	RecoveryReport = benchx.RecoveryReport
-)
-
-// ---- Backend-comparison experiment (-exp backend) ----
-
-type (
-	// BackendReport is the BENCH_backend.json document envelope.
-	BackendReport = benchx.BackendReport
-	// BackendResult is one (backend, txns) sweep point.
-	BackendResult = benchx.BackendResult
-	// BackendEraseCheck is the per-backend erase-physicality evidence.
-	BackendEraseCheck = benchx.BackendEraseCheck
-)
-
-var (
-	// Backends lists the storage backends in figure order.
-	Backends = benchx.Backends
-	// RunBackendComparison runs the heap-vs-LSM experiment: the Figure
-	// 4(a) series on the full compliance stack, Table 1 conformance on
-	// both backends and the erase-physicality checks.
-	RunBackendComparison = benchx.RunBackendComparison
+	// RunRecovery runs one crash-and-rebuild measurement.
+	RunRecovery = benchx.RunRecovery
 	// RunBackendEraseCheck runs one backend's erase-physicality check.
 	RunBackendEraseCheck = benchx.RunBackendEraseCheck
 	// Table1On measures Table 1 on a specific storage backend.
 	Table1On = benchx.Table1On
-	// BackendFigure renders the sweep as a completion-time figure.
-	BackendFigure = benchx.BackendFigure
-	// WriteBackendJSON writes results as a BENCH_backend.json document.
-	WriteBackendJSON = benchx.WriteBackendJSON
-	// ReadBackendJSON parses and validates a BENCH_backend.json file.
-	ReadBackendJSON = benchx.ReadBackendJSON
+	// RunReadPath executes one read-path measurement: N closed-loop
+	// readers replaying a deterministic pure-read stream against the
+	// shared-lock read path (or the one-big-mutex baseline).
+	RunReadPath = benchx.RunReadPath
+	// RunIngest ingests records through IngestBatch at one batch size.
+	RunIngest = benchx.RunIngest
+	// RunDurableHeap runs one backend's ingest / checkpoint / recovery
+	// measurement.
+	RunDurableHeap = benchx.RunDurableHeap
+	// RunNetwork executes one closed-loop network soak: a fleet of wire
+	// connections replaying a GDPRBench workload through a gateway.
+	RunNetwork = loadgen.RunNetwork
+	// NetworkSweep runs the soak at each connection count.
+	NetworkSweep = loadgen.NetworkSweep
+	// RunReshard executes one resharding measurement: a Zipfian
+	// hot-subject workload pinned to one shard, measured before and
+	// after a live rebalancer-driven split.
+	RunReshard = benchx.RunReshard
+	// RunReplication executes one replication measurement: async-write
+	// lag vs synchronous revocation-barrier latency, with post-return
+	// visibility probes on every replica.
+	RunReplication = benchx.RunReplication
 )
 
-// ---- Read-path scaling experiment (-exp readpath) ----
+// ---- Read path and rebalancing building blocks ----
 
 type (
-	// ReadPathConfig sizes one read-path measurement.
-	ReadPathConfig = benchx.ReadPathConfig
-	// ReadPathResult is one BENCH_readpath.json row.
-	ReadPathResult = benchx.ReadPathResult
-	// ReadPathReport is the BENCH_readpath.json document envelope.
-	ReadPathReport = benchx.ReadPathReport
 	// PolicyStats snapshots a policy engine's adjudication and
 	// decision-cache work counters.
 	PolicyStats = policy.Stats
 	// PolicyDecision is one adjudication outcome, with its validity
 	// bound and cache provenance.
 	PolicyDecision = policy.Decision
+	// ShardRebalancer observes per-shard load and proposes live shard
+	// splits and merges.
+	ShardRebalancer = compliance.Rebalancer
+	// ShardRebalancePlan is a rebalancing proposal.
+	ShardRebalancePlan = compliance.Plan
 )
 
 var (
-	// RunReadPath executes one read-path measurement: N closed-loop
-	// readers replaying a deterministic pure-read stream against the
-	// shared-lock read path (or the one-big-mutex baseline).
-	RunReadPath = benchx.RunReadPath
-	// ReadPathSweep runs the full matrix: backends x cache on/off x
-	// reader counts, plus the exclusive-lock baseline.
-	ReadPathSweep = benchx.ReadPathSweep
-	// ReadPathFigure renders sweep results as a figure.
-	ReadPathFigure = benchx.ReadPathFigure
-	// WriteReadPathJSON writes results as a BENCH_readpath.json document.
-	WriteReadPathJSON = benchx.WriteReadPathJSON
-	// ReadReadPathJSON parses and validates a BENCH_readpath.json file,
-	// enforcing the >= 3x read-scaling property.
-	ReadReadPathJSON = benchx.ReadReadPathJSON
-	// DefaultReaderSweep is the 1/4/16 reader sweep.
-	DefaultReaderSweep = benchx.DefaultReaderSweep
 	// NewCachedPolicyEngine wraps a policy engine with the
 	// epoch-invalidated decision cache (profiles do this by default;
 	// see Profile.NoDecisionCache).
@@ -579,79 +585,8 @@ var (
 	// NewAsyncAuditLogger wraps an audit logger with the bounded async
 	// sink (profiles do this by default; see Profile.SyncAudit).
 	NewAsyncAuditLogger = audit.NewAsync
-)
-
-var (
-	// RunRecovery runs one crash-and-rebuild measurement.
-	RunRecovery = benchx.RunRecovery
-	// RecoverySweep pairs full-replay and checkpointed recoveries at
-	// each WAL length.
-	RecoverySweep = benchx.RecoverySweep
-	// RecoveryFigure renders sweep results as time-vs-WAL-length.
-	RecoveryFigure = benchx.RecoveryFigure
-	// WriteRecoveryJSON writes results as a BENCH_recovery.json document.
-	WriteRecoveryJSON = benchx.WriteRecoveryJSON
-	// ReadRecoveryJSON parses and validates a BENCH_recovery.json file.
-	ReadRecoveryJSON = benchx.ReadRecoveryJSON
-)
-
-// ---- Batched-ingest experiment (-exp ingest) ----
-
-type (
-	// IngestResult is one BENCH_ingest.json row: throughput and
-	// checkpoint bytes for one (backend, batch size, checkpoint mode).
-	IngestResult = benchx.IngestResult
-	// IngestReport is the BENCH_ingest.json document envelope.
-	IngestReport = benchx.IngestReport
-)
-
-var (
-	// RunIngest ingests records through IngestBatch at one batch size.
-	RunIngest = benchx.RunIngest
-	// IngestSweep runs backend x batch size x checkpoint mode.
-	IngestSweep = benchx.IngestSweep
-	// IngestBatchSizes is the default 1/16/256 batch-size axis.
-	IngestBatchSizes = benchx.IngestBatchSizes
-	// IngestFigure renders sweep results as throughput-vs-batch-size.
-	IngestFigure = benchx.IngestFigure
-	// WriteIngestJSON writes results as a BENCH_ingest.json document.
-	WriteIngestJSON = benchx.WriteIngestJSON
-	// ReadIngestJSON parses and validates a BENCH_ingest.json file,
-	// enforcing the batch-speedup and delta-ratio gates.
-	ReadIngestJSON = benchx.ReadIngestJSON
-	// ValidateIngestReport checks an ingest report's per-result and
-	// cross-result gates.
-	ValidateIngestReport = benchx.ValidateIngestReport
-)
-
-// ---- Durable-heap experiment (-exp durableheap) ----
-
-type (
-	// DurableHeapResult is one BENCH_durableheap.json row: ingest,
-	// forced-checkpoint and recovery wall time for one backend.
-	DurableHeapResult = benchx.DurableHeapResult
-	// DurableHeapReport is the BENCH_durableheap.json document envelope.
-	DurableHeapReport = benchx.DurableHeapReport
-)
-
-var (
-	// RunDurableHeap runs one backend's ingest / checkpoint / recovery
-	// measurement.
-	RunDurableHeap = benchx.RunDurableHeap
-	// DurableHeapSweep runs the heap/lsm/mmap axis at one scale.
-	DurableHeapSweep = benchx.DurableHeapSweep
-	// DurableHeapBackends is the experiment's three-backend axis.
-	DurableHeapBackends = benchx.DurableHeapBackends
-	// DurableHeapFigure renders the report as per-phase timing series.
-	DurableHeapFigure = benchx.DurableHeapFigure
-	// WriteDurableHeapJSON writes a BENCH_durableheap.json document.
-	WriteDurableHeapJSON = benchx.WriteDurableHeapJSON
-	// ReadDurableHeapJSON parses and validates a BENCH_durableheap.json
-	// file, enforcing the recovery and checkpoint-cost floors.
-	ReadDurableHeapJSON = benchx.ReadDurableHeapJSON
-	// ValidateDurableHeapReport checks a durableheap report's per-result
-	// invariants and cross-backend floors.
-	ValidateDurableHeapReport = benchx.ValidateDurableHeapReport
+	// NewShardRebalancer builds a rebalancer over a sharded deployment.
+	NewShardRebalancer = compliance.NewRebalancer
 )
 
 // ---- Transport-neutral Client API and the wire serving stack ----
@@ -718,62 +653,6 @@ var (
 	ErrUnavailable = wire.ErrUnavailable
 )
 
-// ---- Network soak experiment (-exp network) ----
-
-type (
-	// NetworkConfig sizes one end-to-end network measurement.
-	NetworkConfig = loadgen.NetworkConfig
-	// NetworkResult is one BENCH_network.json row.
-	NetworkResult = loadgen.NetworkResult
-	// NetworkReport is the BENCH_network.json document envelope.
-	NetworkReport = loadgen.NetworkReport
-)
-
-// NetworkSchemaVersion is the BENCH_network.json schema version.
-const NetworkSchemaVersion = loadgen.NetworkSchemaVersion
-
-var (
-	// RunNetwork executes one closed-loop network soak: a fleet of wire
-	// connections replaying a GDPRBench workload through a gateway.
-	RunNetwork = loadgen.RunNetwork
-	// NetworkSweep runs the soak at each connection count.
-	NetworkSweep = loadgen.NetworkSweep
-	// WriteNetworkJSON writes results as a BENCH_network.json document.
-	WriteNetworkJSON = loadgen.WriteNetworkJSON
-	// ReadNetworkJSON parses and validates a BENCH_network.json file.
-	ReadNetworkJSON = loadgen.ReadNetworkJSON
-)
-
-// ---- Elastic resharding experiment (-exp reshard) ----
-
-type (
-	// ReshardConfig sizes one resharding measurement.
-	ReshardConfig = benchx.ReshardConfig
-	// ReshardResult is one BENCH_reshard.json row.
-	ReshardResult = benchx.ReshardResult
-	// ReshardReport is the BENCH_reshard.json document envelope.
-	ReshardReport = benchx.ReshardReport
-	// ShardRebalancer observes per-shard load and proposes live shard
-	// splits and merges.
-	ShardRebalancer = compliance.Rebalancer
-	// ShardRebalancePlan is a rebalancing proposal.
-	ShardRebalancePlan = compliance.Plan
-)
-
-var (
-	// RunReshard executes one resharding measurement: a Zipfian
-	// hot-subject workload pinned to one shard, measured before and
-	// after a live rebalancer-driven split.
-	RunReshard = benchx.RunReshard
-	// WriteReshardJSON writes results as a BENCH_reshard.json document.
-	WriteReshardJSON = benchx.WriteReshardJSON
-	// ReadReshardJSON parses and validates a BENCH_reshard.json file,
-	// enforcing the >= 1.5x post-split speedup floor.
-	ReadReshardJSON = benchx.ReadReshardJSON
-	// NewShardRebalancer builds a rebalancer over a sharded deployment.
-	NewShardRebalancer = compliance.NewRebalancer
-)
-
 // ---- WAL-shipping replication (repl) ----
 
 type (
@@ -811,27 +690,4 @@ var (
 	// ErrReadOnlyReplica is returned for any mutation sent to a read
 	// replica; it survives the wire.
 	ErrReadOnlyReplica = api.ErrReadOnlyReplica
-)
-
-// ---- Replication experiment (-exp replication) ----
-
-type (
-	// ReplicationConfig sizes one replication measurement.
-	ReplicationConfig = benchx.ReplicationConfig
-	// ReplicationResult is one BENCH_replication.json row.
-	ReplicationResult = benchx.ReplicationResult
-	// ReplicationBenchReport is the BENCH_replication.json envelope.
-	ReplicationBenchReport = benchx.ReplicationReport
-)
-
-var (
-	// RunReplication executes one replication measurement: async-write
-	// lag vs synchronous revocation-barrier latency, with post-return
-	// visibility probes on every replica.
-	RunReplication = benchx.RunReplication
-	// WriteReplicationJSON writes results as BENCH_replication.json.
-	WriteReplicationJSON = benchx.WriteReplicationJSON
-	// ReadReplicationJSON parses and validates a BENCH_replication.json
-	// file, enforcing the zero-violation barrier property.
-	ReadReplicationJSON = benchx.ReadReplicationJSON
 )

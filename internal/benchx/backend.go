@@ -1,10 +1,7 @@
 package benchx
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"time"
 
 	"github.com/datacase/datacase/internal/compliance"
 	"github.com/datacase/datacase/internal/erasure"
@@ -110,18 +107,6 @@ func (c BackendEraseCheck) Validate() error {
 	return nil
 }
 
-// BackendReport is the BENCH_backend.json document.
-type BackendReport struct {
-	Benchmark   string              `json:"benchmark"`
-	Schema      int                 `json:"schema"`
-	Results     []BackendResult     `json:"results"`
-	Table1      []BackendTable1Row  `json:"table1"`
-	EraseChecks []BackendEraseCheck `json:"erase_checks"`
-}
-
-// backendSchemaVersion is bumped when the report shape changes.
-const backendSchemaVersion = 1
-
 // Backends returns the two storage backends in figure order.
 func Backends() []string {
 	return []string{compliance.BackendHeap, compliance.BackendLSM}
@@ -139,21 +124,19 @@ func backendProfile(backend string) compliance.Profile {
 }
 
 // RunBackendComparison runs all three parts at the given scale and
-// sweep divisor (the Fig4a 10K-70K transaction sweep ÷ factor).
-func RunBackendComparison(s Scale, factor int) (BackendReport, error) {
-	rep := BackendReport{Benchmark: "backend", Schema: backendSchemaVersion}
-	if factor <= 0 {
-		factor = 1
-	}
-	sweep := []int{10000 / factor, 30000 / factor, 50000 / factor, 70000 / factor}
+// sweep divisor (the Fig4a 10K-70K transaction sweep ÷ factor). The
+// report's Results are []BackendResult.
+func RunBackendComparison(s Scale, factor int) (Report, error) {
+	rep := Report{Benchmark: "backend"}
+	var results []BackendResult
 	for _, backend := range Backends() {
 		p := backendProfile(backend)
-		for _, txns := range sweep {
+		for _, txns := range fig4aSweep(factor) {
 			r, err := RunGDPRBench(p, gdprbench.Customer, s.Records, txns, s.Seed)
 			if err != nil {
 				return rep, fmt.Errorf("backend %s txns=%d: %w", backend, txns, err)
 			}
-			rep.Results = append(rep.Results, BackendResult{
+			results = append(results, BackendResult{
 				Backend: backend, Profile: p.Name, Records: s.Records, Txns: txns,
 				CompletionSeconds: r.Elapsed.Seconds(),
 				LoadSeconds:       r.LoadTime.Seconds(),
@@ -180,7 +163,73 @@ func RunBackendComparison(s Scale, factor int) (BackendReport, error) {
 		}
 		rep.EraseChecks = append(rep.EraseChecks, check)
 	}
+	rep.Results = results
 	return rep, nil
+}
+
+// backendExperiment is the one registry entry built by hand: its
+// report carries two sections beyond the rows.
+func backendExperiment() Experiment {
+	return Experiment{
+		Name: "backend",
+		Desc: "heap vs LSM compliance backends: Fig 4(a) series, Table 1 conformance and erase checks; writes BENCH_backend.json",
+		Run: func(s Scale) (Outcome, error) {
+			rep, err := RunBackendComparison(s, s.Fig4aDivisor)
+			if err != nil {
+				return Outcome{}, err
+			}
+			rows := rep.Results.([]BackendResult)
+			out := Outcome{Lines: indented(rows), Report: &rep, Figures: []Figure{BackendFigure(rows)}}
+			out.Lines = append(out.Lines, "Table 1 conformance per backend:")
+			for _, row := range rep.Table1 {
+				out.Lines = append(out.Lines, fmt.Sprintf("  %-4s %-26s conforms=%v",
+					row.Backend, row.Interpretation, row.Conforms))
+			}
+			out.Lines = append(out.Lines, indented(rep.EraseChecks)...)
+			return out, nil
+		},
+		Check:  checkBackend,
+		decode: decodeRows[BackendResult],
+	}
+}
+
+// checkBackend holds the backend gates: every sweep point sane (rowsOf)
+// and the sweep a full backend x txns grid; every Table-1 row, on every
+// backend, conforming to its declared IR/II/Inv characteristics; and
+// erasure physically demonstrated on every backend (forensically
+// clean, erasure.Verify passing, the LSM discharging its purge
+// obligations).
+func checkBackend(rep Report) error {
+	rows, err := rowsOf[BackendResult](rep)
+	if err != nil {
+		return err
+	}
+	err = missing(rows, func(r BackendResult) string { return r.Backend },
+		func(r BackendResult) int { return r.Txns }, Backends())
+	if err != nil {
+		return fmt.Errorf("backend: %w", err)
+	}
+	measured := map[string]bool{}
+	for _, row := range rep.Table1 {
+		if !row.Conforms {
+			return fmt.Errorf("backend: %s on %s does not conform to its declared characteristics",
+				row.Interpretation, row.Backend)
+		}
+		measured[row.Backend] = true
+	}
+	erased := map[string]bool{}
+	for i, c := range rep.EraseChecks {
+		if err := c.Validate(); err != nil {
+			return fmt.Errorf("backend: erase check %d: %w", i, err)
+		}
+		erased[c.Backend] = true
+	}
+	for _, b := range Backends() {
+		if !measured[b] || !erased[b] {
+			return fmt.Errorf("backend: report is missing the table1 or erase_checks section for %s", b)
+		}
+	}
+	return nil
 }
 
 // eraseCheckPurgeWindow is the LSM purge bound the erase check runs
@@ -288,75 +337,9 @@ func RunBackendEraseCheck(backend string, seed int64) (BackendEraseCheck, error)
 // BackendFigure renders the sweep as the Figure 4(a)-shaped
 // completion-time series.
 func BackendFigure(results []BackendResult) Figure {
-	fig := Figure{
-		Title:  "Backend comparison: WCus completion time, heap (DELETE+VACUUM) vs lsm (tombstones + erase-aware compaction)",
-		XLabel: "transactions",
-	}
-	series := map[string]*Series{}
-	var order []string
-	for _, r := range results {
-		sr, ok := series[r.Backend]
-		if !ok {
-			sr = &Series{Label: r.Backend}
-			series[r.Backend] = sr
-			order = append(order, r.Backend)
-		}
-		sr.Points = append(sr.Points, Point{
-			X: float64(r.Txns),
-			Y: time.Duration(r.CompletionSeconds * float64(time.Second)),
+	return seriesFigure("Backend comparison: WCus completion time, heap (DELETE+VACUUM) vs lsm (tombstones + erase-aware compaction)",
+		"transactions", len(results), func(i int) (string, float64, float64) {
+			r := results[i]
+			return r.Backend, float64(r.Txns), r.CompletionSeconds
 		})
-	}
-	for _, label := range order {
-		fig.Series = append(fig.Series, *series[label])
-	}
-	return fig
-}
-
-// WriteBackendJSON writes the BENCH_backend.json document to path.
-func WriteBackendJSON(path string, rep BackendReport) error {
-	rep.Benchmark = "backend"
-	rep.Schema = backendSchemaVersion
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("backend: encode report: %w", err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return fmt.Errorf("backend: write %s: %w", path, err)
-	}
-	return nil
-}
-
-// ReadBackendJSON parses and validates a BENCH_backend.json file.
-func ReadBackendJSON(path string) (BackendReport, error) {
-	var rep BackendReport
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return rep, fmt.Errorf("backend: read %s: %w", path, err)
-	}
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		return rep, fmt.Errorf("backend: parse %s: %w", path, err)
-	}
-	if rep.Benchmark != "backend" {
-		return rep, fmt.Errorf("backend: %s is not a backend report (benchmark=%q)", path, rep.Benchmark)
-	}
-	if len(rep.Results) == 0 || len(rep.Table1) == 0 || len(rep.EraseChecks) == 0 {
-		return rep, fmt.Errorf("backend: %s is missing a section", path)
-	}
-	for i, r := range rep.Results {
-		if err := r.Validate(); err != nil {
-			return rep, fmt.Errorf("backend: %s result %d: %w", path, i, err)
-		}
-	}
-	for i, c := range rep.EraseChecks {
-		if err := c.Validate(); err != nil {
-			return rep, fmt.Errorf("backend: %s erase check %d: %w", path, i, err)
-		}
-	}
-	for _, row := range rep.Table1 {
-		if !row.Conforms {
-			return rep, fmt.Errorf("backend: %s: %s on %s does not conform to its declared characteristics",
-				path, row.Interpretation, row.Backend)
-		}
-	}
-	return rep, nil
 }

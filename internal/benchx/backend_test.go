@@ -1,7 +1,6 @@
 package benchx
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -16,8 +15,9 @@ func TestBackendComparisonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 8 { // 2 backends × 4 sweep points
-		t.Fatalf("got %d sweep results, want 8", len(rep.Results))
+	results := rep.Results.([]BackendResult)
+	if len(results) != 8 { // 2 backends × 4 sweep points
+		t.Fatalf("got %d sweep results, want 8", len(results))
 	}
 	if len(rep.Table1) != 8 { // 2 backends × 4 interpretations
 		t.Fatalf("got %d table1 rows, want 8", len(rep.Table1))
@@ -35,53 +35,22 @@ func TestBackendComparisonEndToEnd(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	fig := BackendFigure(rep.Results)
+	fig := BackendFigure(results)
 	if len(fig.Series) != 2 || len(fig.Series[0].Points) != 4 {
 		t.Fatalf("figure shape: %d series", len(fig.Series))
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_backend.json")
-	if err := WriteBackendJSON(path, rep); err != nil {
+	if err := WriteReport(path, rep, "test"); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBackendJSON(path)
+	back, err := ReadReport(path, backendExperiment())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Results) != len(rep.Results) || back.Schema != backendSchemaVersion {
-		t.Fatalf("round trip lost results (%d) or schema (%d)", len(back.Results), back.Schema)
-	}
-}
-
-// TestReadBackendJSONRejectsBadDocuments covers the validator paths the
-// CI job relies on.
-func TestReadBackendJSONRejectsBadDocuments(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	if _, err := ReadBackendJSON(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-	if _, err := ReadBackendJSON(write("garbage.json", "{")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := ReadBackendJSON(write("wrong.json", `{"benchmark":"loadgen"}`)); err == nil {
-		t.Fatal("wrong benchmark accepted")
-	}
-	if _, err := ReadBackendJSON(write("empty.json", `{"benchmark":"backend","results":[]}`)); err == nil {
-		t.Fatal("empty sections accepted")
-	}
-	bad := `{"benchmark":"backend",
-	  "results":[{"backend":"heap","profile":"P_Base","records":1,"txns":1,"completion_seconds":0.1}],
-	  "table1":[{"backend":"lsm","interpretation":"delete","conforms":false}],
-	  "erase_checks":[{"backend":"heap","subject_records":1,"forensic_clean":true,"verify_ok":true}]}`
-	if _, err := ReadBackendJSON(write("noconform.json", bad)); err == nil {
-		t.Fatal("non-conforming table1 row accepted")
+	if len(back.Results.([]BackendResult)) != len(results) || back.Schema != reportSchema ||
+		len(back.Table1) != len(rep.Table1) || len(back.EraseChecks) != len(rep.EraseChecks) {
+		t.Fatalf("round trip lost a section or the schema: %+v", back)
 	}
 }
 

@@ -1,9 +1,7 @@
 package benchx
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"github.com/datacase/datacase/internal/compliance"
@@ -35,7 +33,7 @@ import (
 //     (plus region snapshots on mmap), cross-checked against the
 //     pre-crash record count.
 //
-// ValidateDurableHeapReport enforces the tentpole's measured claims:
+// checkDurableHeap enforces the tentpole's measured claims:
 // heap recovery >= durableHeapRecoverFloor x mmap recovery, and heap
 // checkpoint cost >= durableHeapCheckpointFloor x mmap checkpoint cost.
 
@@ -96,16 +94,6 @@ func (r DurableHeapResult) Validate() error {
 	return nil
 }
 
-// DurableHeapReport is the BENCH_durableheap.json document.
-type DurableHeapReport struct {
-	Benchmark string              `json:"benchmark"`
-	Schema    int                 `json:"schema"`
-	Results   []DurableHeapResult `json:"results"`
-}
-
-// durableHeapSchemaVersion is bumped when the report shape changes.
-const durableHeapSchemaVersion = 1
-
 // The acceptance floors the committed report must clear: mmap recovery
 // at least 2x faster than the heap's image-replay rebuild, and mmap's
 // forced-checkpoint cost at least 5x cheaper than the heap's full
@@ -117,7 +105,7 @@ const (
 
 // DurableHeapBackends is this experiment's own three-backend axis. It
 // is deliberately not Backends(): the two-backend list shapes other
-// reports (and their CI gates), which must not grow a third series.
+// reports (and their gates), which must not grow a third series.
 func DurableHeapBackends() []string {
 	return []string{compliance.BackendHeap, compliance.BackendLSM, compliance.BackendMmap}
 }
@@ -258,60 +246,57 @@ func RunDurableHeap(backend string, records, valueBytes, shards, checkpoints int
 	return res, nil
 }
 
-// DurableHeapSweep runs all three backends at one scale.
-func DurableHeapSweep(records, valueBytes, shards, checkpoints int, seed int64) (DurableHeapReport, error) {
-	rep := DurableHeapReport{Benchmark: "durableheap", Schema: durableHeapSchemaVersion}
-	for _, backend := range DurableHeapBackends() {
-		r, err := RunDurableHeap(backend, records, valueBytes, shards, checkpoints, seed)
-		if err != nil {
-			return rep, fmt.Errorf("durableheap %s: %w", backend, err)
-		}
-		rep.Results = append(rep.Results, r)
-	}
-	return rep, nil
+// durableHeapParams sizes the durableheap experiment.
+type durableHeapParams struct {
+	records, valueBytes, shards, checkpoints int
 }
 
-// ValidateDurableHeapReport checks every result and the cross-backend
-// acceptance floors: mmap must recover >= durableHeapRecoverFloor x
-// faster and checkpoint >= durableHeapCheckpointFloor x cheaper than
-// the heap baseline.
-func ValidateDurableHeapReport(rep DurableHeapReport) error {
-	if rep.Benchmark != "durableheap" {
-		return fmt.Errorf("durableheap: not a durableheap report (benchmark=%q)", rep.Benchmark)
-	}
-	byBackend := make(map[string]DurableHeapResult, len(rep.Results))
-	for i, r := range rep.Results {
-		if err := r.Validate(); err != nil {
-			return fmt.Errorf("durableheap: result %d: %w", i, err)
-		}
+var durableHeapSpec = spec[durableHeapParams, DurableHeapResult]{
+	name: "durableheap",
+	desc: "mmap durable-heap engine vs row-image backends: ingest, forced-checkpoint cost, crash recovery; writes BENCH_durableheap.json",
+	presets: presets[durableHeapParams]{
+		"default": {records: 6000, valueBytes: 4096, shards: 4, checkpoints: 3},
+		"ci":      {records: 1500, valueBytes: 2048, shards: 2, checkpoints: 3},
+	},
+	run: func(s Scale, p durableHeapParams) ([]DurableHeapResult, error) {
+		return perBackend(DurableHeapBackends(), func(backend string) (DurableHeapResult, error) {
+			return RunDurableHeap(backend, p.records, p.valueBytes, p.shards, p.checkpoints, s.Seed)
+		})
+	},
+	check:  checkDurableHeap,
+	figure: DurableHeapFigure,
+}
+
+// checkDurableHeap checks that each of the three backends was
+// measured, and the cross-backend acceptance floors: mmap
+// must recover >= durableHeapRecoverFloor x faster and checkpoint >=
+// durableHeapCheckpointFloor x cheaper than the heap baseline.
+func checkDurableHeap(rows []DurableHeapResult) error {
+	byBackend := make(map[string]DurableHeapResult, len(rows))
+	for _, r := range rows {
 		byBackend[r.Backend] = r
 	}
-	for _, backend := range DurableHeapBackends() {
-		if _, ok := byBackend[backend]; !ok {
-			return fmt.Errorf("durableheap: report is missing backend %q", backend)
-		}
+	err := onePerBackend(rows, func(r DurableHeapResult) string { return r.Backend }, DurableHeapBackends())
+	if err != nil {
+		return err
 	}
 	heap, mmap := byBackend[compliance.BackendHeap], byBackend[compliance.BackendMmap]
 	if heap.RecoverSeconds < durableHeapRecoverFloor*mmap.RecoverSeconds {
-		return fmt.Errorf("durableheap: mmap recovery only %.2fx faster than heap (floor %.1fx): heap %.4fs, mmap %.4fs",
+		return fmt.Errorf("mmap recovery only %.2fx faster than heap (floor %.1fx): heap %.4fs, mmap %.4fs",
 			heap.RecoverSeconds/mmap.RecoverSeconds, durableHeapRecoverFloor,
 			heap.RecoverSeconds, mmap.RecoverSeconds)
 	}
 	if heap.CheckpointSeconds < durableHeapCheckpointFloor*mmap.CheckpointSeconds {
-		return fmt.Errorf("durableheap: mmap checkpoints only %.2fx cheaper than heap (floor %.1fx): heap %.4fs, mmap %.4fs",
+		return fmt.Errorf("mmap checkpoints only %.2fx cheaper than heap (floor %.1fx): heap %.4fs, mmap %.4fs",
 			heap.CheckpointSeconds/mmap.CheckpointSeconds, durableHeapCheckpointFloor,
 			heap.CheckpointSeconds, mmap.CheckpointSeconds)
 	}
 	return nil
 }
 
-// DurableHeapFigure renders the report as per-backend bars of the
-// three phase timings.
-func DurableHeapFigure(rep DurableHeapReport) Figure {
-	fig := Figure{
-		Title:  "Durable heap: ingest / forced-checkpoint / recovery wall time per backend",
-		XLabel: "backend (1=heap 2=lsm 3=mmap)",
-	}
+// DurableHeapFigure renders the rows as per-backend bars of the three
+// phase timings.
+func DurableHeapFigure(rows []DurableHeapResult) Figure {
 	phases := []struct {
 		label string
 		pick  func(DurableHeapResult) float64
@@ -320,46 +305,9 @@ func DurableHeapFigure(rep DurableHeapReport) Figure {
 		{"checkpoint", func(r DurableHeapResult) float64 { return r.CheckpointSeconds }},
 		{"recover", func(r DurableHeapResult) float64 { return r.RecoverSeconds }},
 	}
-	for _, ph := range phases {
-		s := Series{Label: ph.label}
-		for i, r := range rep.Results {
-			s.Points = append(s.Points, Point{
-				X: float64(i + 1),
-				Y: time.Duration(ph.pick(r) * float64(time.Second)),
-			})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
-}
-
-// WriteDurableHeapJSON writes the BENCH_durableheap.json document.
-func WriteDurableHeapJSON(path string, rep DurableHeapReport) error {
-	rep.Benchmark = "durableheap"
-	rep.Schema = durableHeapSchemaVersion
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("durableheap: encode report: %w", err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return fmt.Errorf("durableheap: write %s: %w", path, err)
-	}
-	return nil
-}
-
-// ReadDurableHeapJSON parses and validates a BENCH_durableheap.json
-// file, including the cross-backend acceptance floors.
-func ReadDurableHeapJSON(path string) (DurableHeapReport, error) {
-	var rep DurableHeapReport
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return rep, fmt.Errorf("durableheap: read %s: %w", path, err)
-	}
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		return rep, fmt.Errorf("durableheap: parse %s: %w", path, err)
-	}
-	if err := ValidateDurableHeapReport(rep); err != nil {
-		return rep, fmt.Errorf("%w (%s)", err, path)
-	}
-	return rep, nil
+	return seriesFigure("Durable heap: ingest / forced-checkpoint / recovery wall time per backend",
+		"backend (1=heap 2=lsm 3=mmap)", len(phases)*len(rows), func(i int) (string, float64, float64) {
+			ph, b := phases[i/len(rows)], i%len(rows)
+			return ph.label, float64(b + 1), ph.pick(rows[b])
+		})
 }

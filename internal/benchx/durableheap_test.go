@@ -1,11 +1,6 @@
 package benchx
 
-import (
-	"path/filepath"
-	"testing"
-
-	"github.com/datacase/datacase/internal/compliance"
-)
+import "testing"
 
 // TestRunDurableHeapAllBackends runs a tiny point on each backend and
 // checks the per-result invariants (timings positive, every record
@@ -23,79 +18,5 @@ func TestRunDurableHeapAllBackends(t *testing.T) {
 		if r.Backend != backend || r.RecoveredRecords != 120 {
 			t.Fatalf("%s: bad result %+v", backend, r)
 		}
-	}
-}
-
-func TestDurableHeapJSONRoundTrip(t *testing.T) {
-	rep := DurableHeapReport{
-		Benchmark: "durableheap",
-		Schema:    1,
-		Results: []DurableHeapResult{
-			point(compliance.BackendHeap, 1.0, 1.0),
-			point(compliance.BackendLSM, 0.8, 0.9),
-			point(compliance.BackendMmap, 0.1, 0.4),
-		},
-	}
-	if err := ValidateDurableHeapReport(rep); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_durableheap.json")
-	if err := WriteDurableHeapJSON(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDurableHeapJSON(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Results) != 3 || got.Schema != 1 {
-		t.Fatalf("round trip mangled the report: %+v", got)
-	}
-}
-
-func TestValidateDurableHeapReportGates(t *testing.T) {
-	base := func() DurableHeapReport {
-		return DurableHeapReport{
-			Benchmark: "durableheap",
-			Results: []DurableHeapResult{
-				point(compliance.BackendHeap, 1.0, 1.0),
-				point(compliance.BackendLSM, 0.8, 0.9),
-				point(compliance.BackendMmap, 0.1, 0.4),
-			},
-		}
-	}
-
-	rep := base()
-	rep.Results = rep.Results[:2] // mmap missing
-	if err := ValidateDurableHeapReport(rep); err == nil {
-		t.Fatal("missing-backend report validated")
-	}
-
-	rep = base()
-	rep.Results[2].CheckpointSeconds = 0.5 // heap only 2x mmap, floor is 5x
-	if err := ValidateDurableHeapReport(rep); err == nil {
-		t.Fatal("checkpoint floor not enforced")
-	}
-
-	rep = base()
-	rep.Results[2].RecoverSeconds = 0.9 // heap barely above mmap, floor is 2x
-	if err := ValidateDurableHeapReport(rep); err == nil {
-		t.Fatal("recovery floor not enforced")
-	}
-
-	rep = base()
-	rep.Results[0].RecoveredRecords = 99 // lost a record
-	if err := ValidateDurableHeapReport(rep); err == nil {
-		t.Fatal("lossy recovery validated")
-	}
-}
-
-// point builds a plausible hand-rolled result with the given checkpoint
-// and recovery seconds.
-func point(backend string, ckpt, rec float64) DurableHeapResult {
-	return DurableHeapResult{
-		Backend: backend, Profile: "P_Base", Records: 100, ValueBytes: 4096,
-		Shards: 2, Checkpoints: 3, CheckpointSeconds: ckpt,
-		WALTailOps: 100, IngestSeconds: 1, IngestPerSec: 100,
-		RecoverSeconds: rec, RecoveredRecords: 100,
 	}
 }

@@ -16,16 +16,44 @@ import (
 // transaction count with a smaller record count so the full suite runs
 // in seconds. Pass PaperScale() for the original parameters.
 type Scale struct {
+	// Name selects each registry entry's parameter preset and is
+	// stamped into the reports written at this scale.
+	Name    string
 	Records int
 	Txns    int
 	Seed    int64
+	// Fig4aDivisor divides the paper's 10K-70K transaction sweep (fig4a
+	// and the backend experiment); values below 1 mean 1.
+	Fig4aDivisor int
+	// Shards is the shardscale sweep; Clients the concurrent client
+	// count of shardscale and the top of the loadgen client sweep.
+	Shards  []int
+	Clients int
 }
 
 // DefaultScale returns the quick-run parameters.
-func DefaultScale() Scale { return Scale{Records: 20000, Txns: 10000, Seed: 1} }
+func DefaultScale() Scale {
+	return Scale{Name: "default", Records: 20000, Txns: 10000, Seed: 1,
+		Fig4aDivisor: 5, Shards: DefaultShardSweep(), Clients: 8}
+}
+
+// CIScale returns the smoke-run parameters CI runs every experiment
+// at: small enough for a shared runner, large enough that every gate
+// (scaling floors included) still has signal.
+func CIScale() Scale {
+	return Scale{Name: "ci", Records: 1500, Txns: 800, Seed: 1,
+		Fig4aDivisor: 25, Shards: []int{1, 4}, Clients: 4}
+}
 
 // PaperScale returns the paper's parameters (slower).
-func PaperScale() Scale { return Scale{Records: 100000, Txns: 10000, Seed: 1} }
+func PaperScale() Scale {
+	s := DefaultScale()
+	s.Name, s.Records, s.Fig4aDivisor = "paper", 100000, 1
+	return s
+}
+
+// Scales returns the named scales in -scale order.
+func Scales() []Scale { return []Scale{DefaultScale(), CIScale(), PaperScale()} }
 
 // Series is one labelled line/bar group of a figure.
 type Series struct {
@@ -43,7 +71,30 @@ type Point struct {
 type Figure struct {
 	Title  string
 	XLabel string
+	// XNames, when set, label the X values in ascending order (a
+	// categorical axis such as Figure 4(b)'s workloads).
+	XNames []string
 	Series []Series
+}
+
+// seriesFigure groups n measurements into labelled series in order of
+// first appearance; at returns measurement i's series label, X value
+// and Y value in seconds.
+func seriesFigure(title, xlabel string, n int, at func(i int) (label string, x, seconds float64)) Figure {
+	fig := Figure{Title: title, XLabel: xlabel}
+	index := map[string]int{}
+	for i := 0; i < n; i++ {
+		label, x, secs := at(i)
+		j, ok := index[label]
+		if !ok {
+			j = len(fig.Series)
+			index[label] = j
+			fig.Series = append(fig.Series, Series{Label: label})
+		}
+		fig.Series[j].Points = append(fig.Series[j].Points,
+			Point{X: x, Y: time.Duration(secs * float64(time.Second))})
+	}
+	return fig
 }
 
 // paperProfiles returns the three profiles in their paper-baseline
@@ -66,17 +117,13 @@ func paperProfiles() []compliance.Profile {
 // paper sweeps 10K-70K transactions; the sweep here is proportional to
 // the configured Txns (s.Txns == 10000 gives 10K/30K/50K/70K ÷ factor).
 func Fig4a(s Scale, factor int) (Figure, error) {
-	if factor <= 0 {
-		factor = 1
-	}
 	fig := Figure{
 		Title:  "Fig 4(a): Interpretations of Data Erasure on WCus",
 		XLabel: "transactions",
 	}
-	sweep := []int{10000 / factor, 30000 / factor, 50000 / factor, 70000 / factor}
 	for _, strat := range EraseStrategies() {
 		series := Series{Label: string(strat)}
-		for _, txns := range sweep {
+		for _, txns := range fig4aSweep(factor) {
 			r, err := RunEraseStrategy(strat, s.Records, txns, s.Seed)
 			if err != nil {
 				return fig, err
@@ -88,12 +135,22 @@ func Fig4a(s Scale, factor int) (Figure, error) {
 	return fig, nil
 }
 
+// fig4aSweep is the paper's 10K-70K transaction sweep divided by
+// factor (values below 1 mean 1).
+func fig4aSweep(factor int) []int {
+	if factor <= 0 {
+		factor = 1
+	}
+	return []int{10000 / factor, 30000 / factor, 50000 / factor, 70000 / factor}
+}
+
 // Fig4b reproduces Figure 4(b): completion time of P_Base / P_GBench /
 // P_SYS across WPro, WCon, WCus and YCSB-C.
 func Fig4b(s Scale) (Figure, error) {
 	fig := Figure{
 		Title:  "Fig 4(b): Completion time per workload and profile",
 		XLabel: "workload (0=WPro 1=WCon 2=WCus 3=YCSB-C)",
+		XNames: []string{"WPro", "WCon", "WCus", "YCSB-C"},
 	}
 	workloads := []gdprbench.WorkloadName{gdprbench.Processor, gdprbench.Controller, gdprbench.Customer}
 	for _, p := range paperProfiles() {
@@ -114,9 +171,6 @@ func Fig4b(s Scale) (Figure, error) {
 	}
 	return fig, nil
 }
-
-// Fig4bWorkloads returns the X-axis labels of Fig4b in order.
-func Fig4bWorkloads() []string { return []string{"WPro", "WCon", "WCus", "YCSB-C"} }
 
 // Fig4c reproduces Figure 4(c): scalability — completion time of the
 // three profiles on WCus (lines) and YCSB-C (bars) as the record count
@@ -170,12 +224,8 @@ func Table2(s Scale) ([]compliance.SpaceReport, error) {
 	return out, nil
 }
 
-// Render renders a figure as a fixed-width table: one row per X value,
-// one column per series.
-func Render(fig Figure, xnames []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", fig.Title)
-	// Collect the X axis.
+// xAxis returns the distinct X values of a figure in ascending order.
+func xAxis(fig Figure) []float64 {
 	xs := map[float64]bool{}
 	for _, s := range fig.Series {
 		for _, p := range s.Points {
@@ -187,7 +237,15 @@ func Render(fig Figure, xnames []string) string {
 		axis = append(axis, x)
 	}
 	sort.Float64s(axis)
+	return axis
+}
 
+// Render renders a figure as a fixed-width table: one row per X value,
+// one column per series.
+func Render(fig Figure) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n", fig.Title)
+	axis := xAxis(fig)
 	fmt.Fprintf(&b, "%-14s", fig.XLabel)
 	for _, s := range fig.Series {
 		fmt.Fprintf(&b, " %22s", s.Label)
@@ -195,8 +253,8 @@ func Render(fig Figure, xnames []string) string {
 	fmt.Fprintln(&b)
 	for i, x := range axis {
 		name := fmt.Sprintf("%.0f", x)
-		if xnames != nil && i < len(xnames) {
-			name = xnames[i]
+		if i < len(fig.XNames) {
+			name = fig.XNames[i]
 		}
 		fmt.Fprintf(&b, "%-14s", name)
 		for _, s := range fig.Series {
@@ -222,18 +280,7 @@ func RenderCSV(fig Figure) string {
 		fmt.Fprintf(&b, ",%s", s.Label)
 	}
 	fmt.Fprintln(&b)
-	xs := map[float64]bool{}
-	for _, s := range fig.Series {
-		for _, p := range s.Points {
-			xs[p.X] = true
-		}
-	}
-	axis := make([]float64, 0, len(xs))
-	for x := range xs {
-		axis = append(axis, x)
-	}
-	sort.Float64s(axis)
-	for _, x := range axis {
+	for _, x := range xAxis(fig) {
 		fmt.Fprintf(&b, "%.0f", x)
 		for _, s := range fig.Series {
 			var v float64

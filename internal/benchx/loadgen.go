@@ -1,16 +1,16 @@
 package benchx
 
 import (
-	"time"
+	"fmt"
 
 	"github.com/datacase/datacase/internal/compliance"
 	"github.com/datacase/datacase/internal/gdprbench"
 	"github.com/datacase/datacase/internal/loadgen"
 )
 
-// This file bridges the closed-loop load driver into the experiment
-// harness: a client-count sweep whose JSON results feed the repo's
-// BENCH_loadgen.json trajectory, rendered alongside the paper figures.
+// This file bridges the closed-loop load drivers into the experiment
+// harness: the in-process client-count sweep (BENCH_loadgen.json) and
+// the wire-connection fleet through the gateway (BENCH_network.json).
 
 // DefaultClientSweep is the client-count sweep of the loadgen
 // experiment, mirroring the shard sweep.
@@ -57,34 +57,100 @@ func LoadgenSweep(profile compliance.Profile, w gdprbench.WorkloadName,
 	return results, nil
 }
 
+// loadgenParams sizes the loadgen experiment beyond the Scale.
+type loadgenParams struct {
+	workloads []gdprbench.WorkloadName
+	shards    int
+	// walCompare adds, per workload, the per-append-locking WAL
+	// baseline at the sweep's top client count, isolating the commit
+	// protocol.
+	walCompare bool
+}
+
+var loadgenSpec = spec[loadgenParams, loadgen.Result]{
+	name: "loadgen",
+	desc: "closed-loop concurrent load driver; writes BENCH_loadgen.json",
+	presets: presets[loadgenParams]{
+		"default": {workloads: []gdprbench.WorkloadName{gdprbench.Controller}, shards: 16},
+		"ci":      {workloads: gdprbench.Workloads(), shards: 4, walCompare: true},
+	},
+	run: func(s Scale, p loadgenParams) ([]loadgen.Result, error) {
+		sweep := ClientSweepUpTo(s.Clients)
+		var results []loadgen.Result
+		for _, w := range p.workloads {
+			rs, err := LoadgenSweep(compliance.PBase(), w, s, p.shards, sweep)
+			if err != nil {
+				return results, err
+			}
+			results = append(results, rs...)
+			if !p.walCompare {
+				continue
+			}
+			profile := compliance.PBase()
+			profile.SerialWAL = true
+			serial, err := loadgen.Run(loadgen.Config{
+				Profile: profile, Workload: w, Records: s.Records, Ops: s.Txns,
+				Clients: sweep[len(sweep)-1], Shards: p.shards, Seed: s.Seed,
+			})
+			if err != nil {
+				return results, err
+			}
+			results = append(results, serial)
+		}
+		return results, nil
+	},
+	figure: LoadgenFigure,
+}
+
 // LoadgenFigure renders sweep results as a completion-time-vs-clients
 // figure (the repo's figures plot durations; throughput and latency
 // quantiles live in the JSON report).
 func LoadgenFigure(results []loadgen.Result) Figure {
-	fig := Figure{
-		Title:  "Loadgen: closed-loop completion time vs concurrent clients",
-		XLabel: "clients",
-	}
-	series := map[string]*Series{}
-	var order []string
-	for _, r := range results {
-		label := r.Workload + "/" + r.Profile
-		if r.SerialWAL {
-			label += "/serial-wal"
-		}
-		s, ok := series[label]
-		if !ok {
-			s = &Series{Label: label}
-			series[label] = s
-			order = append(order, label)
-		}
-		s.Points = append(s.Points, Point{
-			X: float64(r.Clients),
-			Y: time.Duration(r.ElapsedSeconds * float64(time.Second)),
+	return seriesFigure("Loadgen: closed-loop completion time vs concurrent clients", "clients",
+		len(results), func(i int) (string, float64, float64) {
+			r := results[i]
+			label := r.Workload + "/" + r.Profile
+			if r.SerialWAL {
+				label += "/serial-wal"
+			}
+			return label, float64(r.Clients), r.ElapsedSeconds
 		})
-	}
-	for _, label := range order {
-		fig.Series = append(fig.Series, *series[label])
-	}
-	return fig
+}
+
+// networkParams sizes the network experiment: one workload replayed by
+// a swept fleet of wire connections through a self-hosted
+// servers+gateway topology.
+type networkParams struct {
+	workload                               gdprbench.WorkloadName
+	conns                                  []int
+	records, ops, servers, shardsPerServer int
+}
+
+var networkSpec = spec[networkParams, loadgen.NetworkResult]{
+	name: "network",
+	desc: "end-to-end network soak: a wire-connection fleet through the subject-routing gateway; writes BENCH_network.json",
+	presets: presets[networkParams]{
+		"default": {workload: gdprbench.Controller, conns: []int{64, 256, 1024},
+			records: 2000, ops: 4000, servers: 2, shardsPerServer: 4},
+		"ci": {workload: gdprbench.Controller, conns: []int{16, 64},
+			records: 600, ops: 2000, servers: 2, shardsPerServer: 2},
+	},
+	run: func(s Scale, p networkParams) ([]loadgen.NetworkResult, error) {
+		return loadgen.NetworkSweep(loadgen.NetworkConfig{
+			Workload: p.workload, Records: p.records, Ops: p.ops,
+			Servers: p.servers, ShardsPerServer: p.shardsPerServer, Seed: s.Seed,
+		}, p.conns)
+	},
+	check: func(rows []loadgen.NetworkResult) error {
+		for i, r := range rows {
+			// The experiment measures client -> gateway -> servers over
+			// loopback; a row from anywhere else is not this experiment.
+			if !r.SelfHosted {
+				return fmt.Errorf("result %d did not run through the self-hosted wire topology", i)
+			}
+		}
+		// One row per swept connection count.
+		return missing(rows, func(loadgen.NetworkResult) string { return "conns" },
+			func(r loadgen.NetworkResult) int { return r.Conns }, nil)
+	},
 }

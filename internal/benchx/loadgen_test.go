@@ -54,7 +54,7 @@ func TestLoadgenSweepAndFigure(t *testing.T) {
 	if len(fig.Series[0].Points) != 2 {
 		t.Fatalf("series has %d points, want 2", len(fig.Series[0].Points))
 	}
-	if Render(fig, nil) == "" || RenderCSV(fig) == "" {
+	if Render(fig) == "" || RenderCSV(fig) == "" {
 		t.Fatal("figure failed to render")
 	}
 }

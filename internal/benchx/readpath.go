@@ -1,10 +1,8 @@
 package benchx
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"time"
 
 	"github.com/datacase/datacase/internal/compliance"
@@ -60,29 +58,6 @@ type ReadPathConfig struct {
 	IOStall time.Duration
 	// Seed makes the dataset and key stream deterministic.
 	Seed int64
-}
-
-// withDefaults fills zero fields.
-func (c ReadPathConfig) withDefaults() ReadPathConfig {
-	if c.Backend == "" {
-		c.Backend = compliance.BackendHeap
-	}
-	if c.Readers <= 0 {
-		c.Readers = 1
-	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.Records <= 0 {
-		c.Records = 500
-	}
-	if c.Ops <= 0 {
-		c.Ops = 2000
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
 }
 
 // ReadPathResult is one row of BENCH_readpath.json.
@@ -144,6 +119,8 @@ func (r ReadPathResult) Validate() error {
 		return fmt.Errorf("readpath: non-positive throughput %f", r.OpsPerSec)
 	case !r.Cache && r.CacheHits > 0:
 		return fmt.Errorf("readpath: cache-off run served %d cache hits", r.CacheHits)
+	case r.Cache && r.CacheHits == 0:
+		return fmt.Errorf("readpath: cache-on run served no cache hits")
 	case r.NotFound > 0:
 		return fmt.Errorf("readpath: %d reads missed live records", r.NotFound)
 	}
@@ -165,12 +142,14 @@ func readPathProfile(c ReadPathConfig) compliance.Profile {
 // closed-loop clients replay deterministic slices of a pure read stream
 // (90% ReadData / 10% ReadMeta, uniform over the dataset).
 func RunReadPath(cfg ReadPathConfig) (ReadPathResult, error) {
-	cfg = cfg.withDefaults()
 	res := ReadPathResult{
 		Backend: cfg.Backend, Lock: cfg.lock(), Cache: cfg.Cache,
 		Readers: cfg.Readers, Shards: cfg.Shards,
 		Records: cfg.Records, Ops: cfg.Ops,
 		IOStallMicros: cfg.IOStall.Microseconds(),
+	}
+	if cfg.Readers <= 0 || cfg.Shards <= 0 || cfg.Records <= 0 || cfg.Ops <= 0 {
+		return res, fmt.Errorf("readpath: readers, shards, records and ops must be positive: %+v", cfg)
 	}
 	db, err := compliance.OpenShardedWorkers(readPathProfile(cfg), cfg.Shards, cfg.Readers)
 	if err != nil {
@@ -180,7 +159,7 @@ func RunReadPath(cfg ReadPathConfig) (ReadPathResult, error) {
 	for i := 0; i < cfg.Records; i++ {
 		rec := gdprbench.Record{
 			Key:        gdprbench.KeyFor(i),
-			Subject:    subjectForKey(gdprbench.KeyFor(i)),
+			Subject:    loadgen.SubjectForKey(gdprbench.KeyFor(i)),
 			Payload:    []byte(fmt.Sprintf("payload-%06d-%06d", cfg.Seed, i)),
 			Purposes:   []string{"analytics"},
 			TTL:        1 << 40,
@@ -264,61 +243,38 @@ func sumPolicyStats(db *compliance.ShardedDB) policy.Stats {
 // DefaultReaderSweep is the reader-count sweep of the experiment.
 func DefaultReaderSweep() []int { return []int{1, 4, 16} }
 
-// DefaultReadPathStall is the modeled per-payload device latency the
-// experiment runs under (see the package comment: it is what makes
-// lock-granularity effects measurable on any core count).
-const DefaultReadPathStall = 200 * time.Microsecond
-
 // ReadPathSweep runs the full matrix: for each backend, the shared-lock
 // read path with cache on and off across the reader sweep, plus the
 // exclusive-lock baseline (cache off — the seed engine's configuration)
 // at the sweep's endpoints.
 func ReadPathSweep(backends []string, readers []int, shards, records, ops int,
 	stall time.Duration, seed int64) ([]ReadPathResult, error) {
-	if len(backends) == 0 {
-		backends = Backends()
-	}
 	if len(readers) == 0 {
-		readers = DefaultReaderSweep()
+		return nil, fmt.Errorf("readpath: empty reader sweep")
 	}
 	var results []ReadPathResult
-	run := func(cfg ReadPathConfig) error {
-		r, err := RunReadPath(cfg)
-		if err != nil {
-			return err
-		}
-		results = append(results, r)
-		return nil
-	}
 	for _, backend := range backends {
+		var points []ReadPathConfig
 		for _, cache := range []bool{false, true} {
 			for _, n := range readers {
-				err := run(ReadPathConfig{
-					Backend: backend, Readers: n, Shards: shards,
-					Records: records, Ops: ops, Cache: cache,
-					IOStall: stall, Seed: seed,
-				})
-				if err != nil {
-					return results, err
-				}
+				points = append(points, ReadPathConfig{Readers: n, Cache: cache})
 			}
 		}
 		// The one-big-mutex baseline: flat whatever the reader count.
 		// The sweep endpoints suffice (deduplicated, so a single-element
 		// reader sweep measures the baseline once, not twice).
-		baseline := []int{readers[0]}
+		points = append(points, ReadPathConfig{Readers: readers[0], Exclusive: true})
 		if last := readers[len(readers)-1]; last != readers[0] {
-			baseline = append(baseline, last)
+			points = append(points, ReadPathConfig{Readers: last, Exclusive: true})
 		}
-		for _, n := range baseline {
-			err := run(ReadPathConfig{
-				Backend: backend, Readers: n, Shards: shards,
-				Records: records, Ops: ops, Exclusive: true,
-				IOStall: stall, Seed: seed,
-			})
+		for _, cfg := range points {
+			cfg.Backend, cfg.Shards, cfg.Records, cfg.Ops = backend, shards, records, ops
+			cfg.IOStall, cfg.Seed = stall, seed
+			r, err := RunReadPath(cfg)
 			if err != nil {
 				return results, err
 			}
+			results = append(results, r)
 		}
 	}
 	return results, nil
@@ -326,55 +282,77 @@ func ReadPathSweep(backends []string, readers []int, shards, records, ops int,
 
 // ReadPathFigure renders the sweep as throughput-vs-readers series.
 func ReadPathFigure(results []ReadPathResult) Figure {
-	fig := Figure{
-		Title:  "Read path: completion time vs concurrent readers (shared-lock + decision cache vs one big mutex)",
-		XLabel: "readers",
+	return seriesFigure("Read path: completion time vs concurrent readers (shared-lock + decision cache vs one big mutex)",
+		"readers", len(results), func(i int) (string, float64, float64) {
+			r := results[i]
+			return readPathSeries(r), float64(r.Readers), r.ElapsedSecs
+		})
+}
+
+// readPathSeries names a row's series: backend, lock discipline and,
+// on the shared path, the cache axis.
+func readPathSeries(r ReadPathResult) string {
+	label := r.Backend + "/" + r.Lock
+	if r.Lock == LockShared {
+		if r.Cache {
+			label += "/cache"
+		} else {
+			label += "/nocache"
+		}
 	}
-	series := map[string]*Series{}
-	var order []string
-	for _, r := range results {
-		label := fmt.Sprintf("%s/%s", r.Backend, r.Lock)
-		if r.Lock == LockShared {
-			if r.Cache {
-				label += "/cache"
-			} else {
-				label += "/nocache"
+	return label
+}
+
+// readPathParams sizes the readpath experiment.
+type readPathParams struct {
+	readers              []int
+	shards, records, ops int
+	// stallMicros is the modeled per-payload device latency in µs (see
+	// the file comment: it is what makes lock-granularity effects
+	// measurable on any core count).
+	stallMicros int
+}
+
+var readPathSpec = spec[readPathParams, ReadPathResult]{
+	name: "readpath",
+	desc: "read-scaling sweep: shared-lock + decision cache vs one-big-mutex baseline; writes BENCH_readpath.json",
+	presets: presets[readPathParams]{
+		"default": {readers: DefaultReaderSweep(), shards: 1, records: 500, ops: 4000, stallMicros: 200},
+		"ci":      {readers: DefaultReaderSweep(), shards: 1, records: 200, ops: 1500, stallMicros: 300},
+	},
+	run: func(s Scale, p readPathParams) ([]ReadPathResult, error) {
+		stall := time.Duration(p.stallMicros) * time.Microsecond
+		return ReadPathSweep(Backends(), p.readers, p.shards, p.records, p.ops, stall, 1)
+	},
+	check:  checkReadPath,
+	figure: ReadPathFigure,
+	notes: func(rows []ReadPathResult) []string {
+		var out []string
+		for _, backend := range Backends() {
+			for _, cache := range []bool{false, true} {
+				if factor, ok := ReadScaling(rows, backend, cache); ok {
+					out = append(out, fmt.Sprintf("  %s cache=%-5v: widest sweep point delivers %.1fx single-reader throughput",
+						backend, cache, factor))
+				}
 			}
 		}
-		s, ok := series[label]
-		if !ok {
-			s = &Series{Label: label}
-			series[label] = s
-			order = append(order, label)
-		}
-		s.Points = append(s.Points, Point{
-			X: float64(r.Readers),
-			Y: time.Duration(r.ElapsedSecs * float64(time.Second)),
-		})
-	}
-	for _, label := range order {
-		fig.Series = append(fig.Series, *series[label])
-	}
-	return fig
+		return out
+	},
 }
 
-// ReadPathReport is the BENCH_readpath.json document.
-type ReadPathReport struct {
-	Benchmark string           `json:"benchmark"`
-	Schema    int              `json:"schema"`
-	Results   []ReadPathResult `json:"results"`
-}
+// readScalingFloor is the redesign's acceptance property: on every
+// (backend, cache) series of the shared-lock read path, the widest
+// reader count must deliver at least this multiple of the
+// single-reader throughput on the same shard count.
+const readScalingFloor = 3.0
 
-// readPathSchemaVersion is bumped when the report shape changes.
-const readPathSchemaVersion = 1
-
-// ReadScaling returns the 16-vs-1 reader throughput factor of the
+// ReadScaling returns the widest-vs-1 reader throughput factor of the
 // shared-lock series for (backend, cache), and whether both endpoints
 // were present.
-func (rep ReadPathReport) ReadScaling(backend string, cache bool) (float64, bool) {
+func ReadScaling(rows []ReadPathResult, backend string, cache bool) (float64, bool) {
 	var single, widest float64
 	maxReaders := 0
-	for _, r := range rep.Results {
+	for _, r := range rows {
 		if r.Backend != backend || r.Cache != cache || r.Lock != LockShared {
 			continue
 		}
@@ -392,61 +370,50 @@ func (rep ReadPathReport) ReadScaling(backend string, cache bool) (float64, bool
 	return widest / single, true
 }
 
-// WriteReadPathJSON writes the BENCH_readpath.json document to path.
-func WriteReadPathJSON(path string, results []ReadPathResult) error {
-	rep := ReadPathReport{Benchmark: "readpath", Schema: readPathSchemaVersion, Results: results}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("readpath: encode report: %w", err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return fmt.Errorf("readpath: write %s: %w", path, err)
-	}
-	return nil
-}
-
-// ReadReadPathJSON parses and validates a BENCH_readpath.json file,
-// enforcing the redesign's acceptance property: on every (backend,
-// cache) series of the shared-lock read path, the widest reader count
-// must deliver at least 3x the single-reader throughput on the same
-// shard count.
-func ReadReadPathJSON(path string) (ReadPathReport, error) {
-	var rep ReadPathReport
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return rep, fmt.Errorf("readpath: read %s: %w", path, err)
-	}
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		return rep, fmt.Errorf("readpath: parse %s: %w", path, err)
-	}
-	if rep.Benchmark != "readpath" {
-		return rep, fmt.Errorf("readpath: %s is not a readpath report (benchmark=%q)", path, rep.Benchmark)
-	}
-	if len(rep.Results) == 0 {
-		return rep, fmt.Errorf("readpath: %s has no results", path)
-	}
-	shards := rep.Results[0].Shards
-	for i, r := range rep.Results {
-		if err := r.Validate(); err != nil {
-			return rep, fmt.Errorf("readpath: %s result %d: %w", path, i, err)
+// checkReadPath holds the gates that span rows: one shard count
+// throughout (the scaling claim is per shard count), the
+// shared-lock sweep a full backend x cache x readers grid with the
+// exclusive baseline beside it, and every shared series clearing
+// readScalingFloor.
+func checkReadPath(rows []ReadPathResult) error {
+	var shared []ReadPathResult
+	baseline := map[string]bool{}
+	for _, r := range rows {
+		if r.Shards != rows[0].Shards {
+			return fmt.Errorf("report mixes shard counts (%d vs %d) — the scaling claim is per shard count",
+				r.Shards, rows[0].Shards)
 		}
-		if r.Shards != shards {
-			return rep, fmt.Errorf("readpath: %s mixes shard counts (%d vs %d) — the scaling claim is per shard count",
-				path, r.Shards, shards)
+		if r.Lock == LockShared {
+			shared = append(shared, r)
+		} else {
+			baseline[r.Backend] = true
 		}
+	}
+	var series []string
+	for _, backend := range Backends() {
+		if !baseline[backend] {
+			return fmt.Errorf("%s has no exclusive-lock baseline row", backend)
+		}
+		for _, cache := range []bool{false, true} {
+			series = append(series, readPathSeries(ReadPathResult{Backend: backend, Lock: LockShared, Cache: cache}))
+		}
+	}
+	err := missing(shared, readPathSeries, func(r ReadPathResult) int { return r.Readers }, series)
+	if err != nil {
+		return err
 	}
 	for _, backend := range Backends() {
 		for _, cache := range []bool{false, true} {
-			factor, ok := rep.ReadScaling(backend, cache)
+			factor, ok := ReadScaling(rows, backend, cache)
 			if !ok {
-				continue // backend not in this run
+				return fmt.Errorf("%s cache=%v lacks a single-reader point and a wider one", backend, cache)
 			}
-			if factor < 3 {
-				return rep, fmt.Errorf(
-					"readpath: %s: %s cache=%v scales only %.2fx from 1 reader to the widest sweep point (want >= 3x)",
-					path, backend, cache, factor)
+			if factor < readScalingFloor {
+				return fmt.Errorf(
+					"%s cache=%v scales only %.2fx from 1 reader to the widest sweep point (want >= %.0fx)",
+					backend, cache, factor, readScalingFloor)
 			}
 		}
 	}
-	return rep, nil
+	return nil
 }

@@ -1,10 +1,8 @@
 package benchx
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"time"
 
 	"github.com/datacase/datacase/internal/compliance"
@@ -19,7 +17,8 @@ import (
 // images taken) and recovered, and the rebuild is timed. The
 // checkpointed log replays only the tail past the last snapshot, so its
 // recovery time is bounded by the checkpoint interval instead of the
-// workload length — the claim BENCH_recovery.json records.
+// workload length — the claim BENCH_recovery.json records and
+// checkRecovery gates.
 
 // RecoveryResult is one recovered deployment (one row of
 // BENCH_recovery.json).
@@ -66,8 +65,7 @@ func (r RecoveryResult) String() string {
 		r.RecoverSeconds, r.CheckpointRows, r.RecordsReplayed)
 }
 
-// Validate sanity-checks one result; the CI smoke job fails on the
-// first violation.
+// Validate sanity-checks one result.
 func (r RecoveryResult) Validate() error {
 	switch {
 	case r.Ops <= 0:
@@ -86,52 +84,72 @@ func (r RecoveryResult) Validate() error {
 	return nil
 }
 
-// RecoveryReport is the BENCH_recovery.json document.
-type RecoveryReport struct {
-	Benchmark string           `json:"benchmark"`
-	Schema    int              `json:"schema"`
-	Results   []RecoveryResult `json:"results"`
+// recoveryParams sizes the recovery experiment.
+type recoveryParams struct {
+	ops                              []int // WAL lengths swept
+	records, shards, checkpointEvery int
 }
 
-// recoverySchemaVersion is bumped when RecoveryResult's shape changes.
-const recoverySchemaVersion = 1
-
-// WriteRecoveryJSON writes the BENCH_recovery.json document to path.
-func WriteRecoveryJSON(path string, results []RecoveryResult) error {
-	buf, err := json.MarshalIndent(RecoveryReport{
-		Benchmark: "recovery", Schema: recoverySchemaVersion, Results: results,
-	}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("recovery: encode report: %w", err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return fmt.Errorf("recovery: write %s: %w", path, err)
-	}
-	return nil
+var recoverySpec = spec[recoveryParams, RecoveryResult]{
+	name: "recovery",
+	desc: "crash-recovery sweep, full replay vs checkpointed; writes BENCH_recovery.json",
+	presets: presets[recoveryParams]{
+		"default": {ops: []int{20000, 100000}, records: 5000, shards: 8, checkpointEvery: 2000},
+		"ci":      {ops: []int{2000, 4000}, records: 800, shards: 4, checkpointEvery: 500},
+	},
+	run: func(s Scale, p recoveryParams) ([]RecoveryResult, error) {
+		return RecoverySweep(compliance.PBase(), p.ops, p.records, p.shards, p.checkpointEvery, s.Seed)
+	},
+	check:  checkRecovery,
+	figure: RecoveryFigure,
+	notes: func(rows []RecoveryResult) []string {
+		var out []string
+		for i := 0; i+1 < len(rows); i += 2 {
+			full, ckpt := rows[i], rows[i+1]
+			verdict := "FASTER"
+			if ckpt.RecoverSeconds >= full.RecoverSeconds {
+				verdict = "NOT faster (increase the sweep: checkpoint wins grow with WAL length)"
+			}
+			out = append(out, fmt.Sprintf("  ops=%d: checkpointed recovery %.2fx of full replay — %s",
+				full.Ops, ckpt.RecoverSeconds/full.RecoverSeconds, verdict))
+		}
+		return out
+	},
 }
 
-// ReadRecoveryJSON parses and validates a BENCH_recovery.json file.
-func ReadRecoveryJSON(path string) (RecoveryReport, error) {
-	var rep RecoveryReport
-	buf, err := os.ReadFile(path)
+// recoveryMode names a row's series.
+func recoveryMode(r RecoveryResult) string {
+	if r.Checkpointed {
+		return "checkpointed"
+	}
+	return "full-replay"
+}
+
+// checkRecovery holds the gates that span rows: every swept WAL length
+// recovered both ways, and the checkpointed rebuild replaying strictly
+// fewer records than the full-history one.
+func checkRecovery(rows []RecoveryResult) error {
+	type point struct {
+		ops          int
+		checkpointed bool
+	}
+	replayed := map[point]int{}
+	for _, r := range rows {
+		replayed[point{r.Ops, r.Checkpointed}] = r.RecordsReplayed
+	}
+	err := missing(rows, recoveryMode, func(r RecoveryResult) int { return r.Ops },
+		[]string{"full-replay", "checkpointed"})
 	if err != nil {
-		return rep, fmt.Errorf("recovery: read %s: %w", path, err)
+		return err
 	}
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		return rep, fmt.Errorf("recovery: parse %s: %w", path, err)
-	}
-	if rep.Benchmark != "recovery" {
-		return rep, fmt.Errorf("recovery: %s is not a recovery report (benchmark=%q)", path, rep.Benchmark)
-	}
-	if len(rep.Results) == 0 {
-		return rep, fmt.Errorf("recovery: %s has no results", path)
-	}
-	for i, r := range rep.Results {
-		if err := r.Validate(); err != nil {
-			return rep, fmt.Errorf("recovery: %s result %d: %w", path, i, err)
+	for _, r := range rows {
+		full, ckpt := replayed[point{r.Ops, false}], replayed[point{r.Ops, true}]
+		if ckpt >= full {
+			return fmt.Errorf("ops=%d: checkpointed rebuild replayed %d records, full replay %d (checkpointing did not shorten replay)",
+				r.Ops, ckpt, full)
 		}
 	}
-	return rep, nil
+	return nil
 }
 
 // recoveryWorkload drives a deterministic write-heavy stream against a
@@ -319,30 +337,9 @@ func RecoverySweep(profile compliance.Profile, opsSweep []int, records, shards, 
 
 // RecoveryFigure renders sweep results as recovery-time vs WAL-length.
 func RecoveryFigure(results []RecoveryResult) Figure {
-	fig := Figure{
-		Title:  "Recovery: rebuild time vs WAL length (full replay vs checkpointed)",
-		XLabel: "ops",
-	}
-	series := map[string]*Series{}
-	var order []string
-	for _, r := range results {
-		label := "full-replay"
-		if r.Checkpointed {
-			label = "checkpointed"
-		}
-		s, ok := series[label]
-		if !ok {
-			s = &Series{Label: label}
-			series[label] = s
-			order = append(order, label)
-		}
-		s.Points = append(s.Points, Point{
-			X: float64(r.Ops),
-			Y: time.Duration(r.RecoverSeconds * float64(time.Second)),
+	return seriesFigure("Recovery: rebuild time vs WAL length (full replay vs checkpointed)", "ops",
+		len(results), func(i int) (string, float64, float64) {
+			r := results[i]
+			return recoveryMode(r), float64(r.Ops), r.RecoverSeconds
 		})
-	}
-	for _, label := range order {
-		fig.Series = append(fig.Series, *series[label])
-	}
-	return fig
 }

@@ -69,37 +69,14 @@ func TestRecoverySweepAndJSON(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_recovery.json")
-	if err := WriteRecoveryJSON(path, results); err != nil {
+	if err := WriteReport(path, Report{Benchmark: "recovery", Results: results}, "test"); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReadRecoveryJSON(path)
+	rep, err := ReadReport(path, recoverySpec.experiment())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Benchmark != "recovery" || len(rep.Results) != 4 {
+	if rep.Benchmark != "recovery" || len(rep.Results.([]RecoveryResult)) != 4 {
 		t.Fatalf("round trip lost data: %+v", rep)
-	}
-	if _, err := ReadRecoveryJSON(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("reading a missing report did not fail")
-	}
-}
-
-func TestRecoveryResultValidateRejectsNonsense(t *testing.T) {
-	good := RecoveryResult{
-		Ops: 10, Records: 5, Shards: 1, WALRecords: 15, WALBytes: 100,
-		RecoverSeconds: 0.1, RecoveredRecords: 5,
-	}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := good
-	bad.RecoverSeconds = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero recovery time validated")
-	}
-	bad = good
-	bad.Checkpointed = true
-	if err := bad.Validate(); err == nil {
-		t.Fatal("checkpointed result without snapshot rows validated")
 	}
 }

@@ -2,10 +2,8 @@ package benchx
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"github.com/datacase/datacase/internal/api"
@@ -22,8 +20,8 @@ import (
 // merit is the primary-side call latency, which INCLUDES every replica's
 // ack). The compliance property is binary and non-negotiable: the
 // instant the barriered call returns, zero replicas serve a stale allow
-// or a readable erased record — the run counts violations and
-// ReadReplicationJSON fails on any.
+// or a readable erased record — the run counts violations and the
+// experiment's check fails on any.
 
 // ReplicationConfig sizes one replication measurement.
 type ReplicationConfig struct {
@@ -43,34 +41,6 @@ type ReplicationConfig struct {
 	Erases int
 	// Seed makes key/subject naming deterministic.
 	Seed int64
-}
-
-func (c ReplicationConfig) withDefaults() ReplicationConfig {
-	if c.Backend == "" {
-		c.Backend = compliance.BackendHeap
-	}
-	if c.Shards <= 0 {
-		c.Shards = 2
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 2
-	}
-	if c.Records <= 0 {
-		c.Records = 200
-	}
-	if c.Writes <= 0 {
-		c.Writes = 200
-	}
-	if c.Revokes <= 0 {
-		c.Revokes = 50
-	}
-	if c.Erases <= 0 {
-		c.Erases = 10
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
 }
 
 // ReplicationLatency is one measured distribution in microseconds.
@@ -139,6 +109,8 @@ func (r ReplicationResult) Validate() error {
 	case r.AsyncLag.Samples <= 0 || r.RevokeLatency.Samples <= 0 || r.EraseLatency.Samples <= 0:
 		return fmt.Errorf("replication: empty sample set (%d/%d/%d)",
 			r.AsyncLag.Samples, r.RevokeLatency.Samples, r.EraseLatency.Samples)
+	case r.AsyncLag.P50Micros <= 0:
+		return fmt.Errorf("replication: non-positive async lag")
 	case r.RevokeLatency.P50Micros <= 0 || r.EraseLatency.P50Micros <= 0:
 		return fmt.Errorf("replication: non-positive barrier latency")
 	case r.StaleAllows != 0:
@@ -154,10 +126,13 @@ func (r ReplicationResult) Validate() error {
 // revoke/erase phases with immediate post-return visibility probes on
 // every replica.
 func RunReplication(cfg ReplicationConfig) (ReplicationResult, error) {
-	cfg = cfg.withDefaults()
 	res := ReplicationResult{
 		Backend: cfg.Backend, Shards: cfg.Shards, Replicas: cfg.Replicas,
 		Records: cfg.Records, Seed: cfg.Seed,
+	}
+	if cfg.Shards <= 0 || cfg.Replicas <= 0 || cfg.Records <= 0 || cfg.Writes <= 0 ||
+		cfg.Revokes <= 0 || cfg.Erases <= 0 {
+		return res, fmt.Errorf("replication: every size must be positive: %+v", cfg)
 	}
 
 	profile := compliance.PSYS()
@@ -289,50 +264,25 @@ func RunReplication(cfg ReplicationConfig) (ReplicationResult, error) {
 	return res, nil
 }
 
-// ReplicationReport is the BENCH_replication.json document.
-type ReplicationReport struct {
-	Benchmark string              `json:"benchmark"`
-	Schema    int                 `json:"schema"`
-	Results   []ReplicationResult `json:"results"`
-}
-
-// replicationSchemaVersion is bumped when the report shape changes.
-const replicationSchemaVersion = 1
-
-// WriteReplicationJSON writes the BENCH_replication.json document.
-func WriteReplicationJSON(path string, results []ReplicationResult) error {
-	rep := ReplicationReport{Benchmark: "replication", Schema: replicationSchemaVersion, Results: results}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("replication: encode report: %w", err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return fmt.Errorf("replication: write %s: %w", path, err)
-	}
-	return nil
-}
-
-// ReadReplicationJSON parses and validates a BENCH_replication.json
-// file, enforcing the zero-violation barrier property on every row.
-func ReadReplicationJSON(path string) (ReplicationReport, error) {
-	var rep ReplicationReport
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return rep, fmt.Errorf("replication: read %s: %w", path, err)
-	}
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		return rep, fmt.Errorf("replication: parse %s: %w", path, err)
-	}
-	if rep.Benchmark != "replication" {
-		return rep, fmt.Errorf("replication: %s is not a replication report (benchmark=%q)", path, rep.Benchmark)
-	}
-	if len(rep.Results) == 0 {
-		return rep, fmt.Errorf("replication: %s has no results", path)
-	}
-	for i, r := range rep.Results {
-		if err := r.Validate(); err != nil {
-			return rep, fmt.Errorf("replication: %s result %d: %w", path, i, err)
-		}
-	}
-	return rep, nil
+// replicationSpec's parameters are a ReplicationConfig whose Backend
+// and Seed the run fills per backend.
+var replicationSpec = spec[ReplicationConfig, ReplicationResult]{
+	name: "replication",
+	desc: "WAL-shipping replica set: async write lag vs synchronous revocation-barrier latency; writes BENCH_replication.json",
+	presets: presets[ReplicationConfig]{
+		"default": {Shards: 2, Replicas: 2, Records: 200, Writes: 200, Revokes: 50, Erases: 10},
+		"ci":      {Shards: 2, Replicas: 2, Records: 120, Writes: 80, Revokes: 20, Erases: 4},
+	},
+	run: func(s Scale, cfg ReplicationConfig) ([]ReplicationResult, error) {
+		return perBackend(Backends(), func(backend string) (ReplicationResult, error) {
+			cfg.Backend, cfg.Seed = backend, s.Seed
+			return RunReplication(cfg)
+		})
+	},
+	// The barrier gate is absolute and lives in Validate: the moment the
+	// primary's Revoke/EraseSubject returns, no replica may serve a
+	// stale allow or a readable erased record, on any backend.
+	check: func(rows []ReplicationResult) error {
+		return onePerBackend(rows, func(r ReplicationResult) string { return r.Backend }, Backends())
+	},
 }

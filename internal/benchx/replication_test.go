@@ -1,12 +1,6 @@
 package benchx
 
-import (
-	"path/filepath"
-	"strings"
-	"testing"
-
-	"github.com/datacase/datacase/internal/compliance"
-)
+import "testing"
 
 // Small enough for CI; the run still has to exercise both the async
 // stream and the barriers, and Validate enforces the zero-violation
@@ -33,57 +27,5 @@ func TestRunReplicationBarrierHolds(t *testing.T) {
 			}
 			t.Log(res.String())
 		})
-	}
-}
-
-func TestReplicationJSONRoundTripAndGate(t *testing.T) {
-	good := ReplicationResult{
-		Backend: compliance.BackendHeap, Shards: 2, Replicas: 2, Records: 40,
-		AsyncLag:      ReplicationLatency{Samples: 20, P50Micros: 900, P99Micros: 4000, MaxMicros: 5000},
-		RevokeLatency: ReplicationLatency{Samples: 8, P50Micros: 1500, P99Micros: 3000, MaxMicros: 3500},
-		EraseLatency:  ReplicationLatency{Samples: 2, P50Micros: 1600, P99Micros: 3100, MaxMicros: 3600},
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_replication.json")
-	if err := WriteReplicationJSON(path, []ReplicationResult{good}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadReplicationJSON(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 1 || rep.Benchmark != "replication" || rep.Schema != replicationSchemaVersion {
-		t.Fatalf("round trip = %+v", rep)
-	}
-
-	// The gate rejects any barrier violation.
-	bad := good
-	bad.StaleAllows = 1
-	if err := WriteReplicationJSON(path, []ReplicationResult{bad}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadReplicationJSON(path); err == nil ||
-		!strings.Contains(err.Error(), "stale allows") {
-		t.Fatalf("stale-allow row passed the gate: %v", err)
-	}
-	bad = good
-	bad.ErasedReadable = 2
-	if err := WriteReplicationJSON(path, []ReplicationResult{bad}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadReplicationJSON(path); err == nil ||
-		!strings.Contains(err.Error(), "erased") {
-		t.Fatalf("erased-readable row passed the gate: %v", err)
-	}
-	// And a report of the wrong kind.
-	if err := WriteReshardJSON(path, []ReshardResult{{
-		Backend:  compliance.BackendHeap,
-		Baseline: ReshardPhase{OpsPerSec: 1}, PostSplit: ReshardPhase{OpsPerSec: 2},
-		SpeedupFactor: 2, SplitSubjects: 1, NewShards: []int{3}, EpochAfter: 1,
-		Subjects: 2,
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadReplicationJSON(path); err == nil {
-		t.Fatal("reshard report passed as a replication report")
 	}
 }

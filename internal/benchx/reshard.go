@@ -1,9 +1,7 @@
 package benchx
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"github.com/datacase/datacase/internal/compliance"
@@ -21,8 +19,8 @@ import (
 // into two load halves on two shards, a write-heavy stream that was
 // serializing behind one shard mutex (each write paying the modeled
 // device stall) overlaps across two, so throughput should approach 2x
-// and must exceed the 1.5x acceptance floor (ReadReshardJSON enforces
-// it).
+// and must exceed the 1.5x acceptance floor (the experiment's check
+// enforces it).
 
 // ReshardConfig sizes one resharding measurement.
 type ReshardConfig struct {
@@ -45,38 +43,6 @@ type ReshardConfig struct {
 	IOStall time.Duration
 	// Seed makes the dataset and op stream deterministic.
 	Seed int64
-}
-
-// withDefaults fills zero fields.
-func (c ReshardConfig) withDefaults() ReshardConfig {
-	if c.Backend == "" {
-		c.Backend = compliance.BackendHeap
-	}
-	if c.Shards < 3 {
-		c.Shards = 3
-	}
-	if c.Subjects <= 0 {
-		c.Subjects = 16
-	}
-	if c.Records <= 0 {
-		c.Records = 256
-	}
-	if c.Clients <= 0 {
-		c.Clients = 8
-	}
-	if c.OpsPerPhase <= 0 {
-		c.OpsPerPhase = 4000
-	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 0.9
-	}
-	if c.IOStall == 0 {
-		c.IOStall = 150 * time.Microsecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
 }
 
 // ReshardPhase is one measured workload phase.
@@ -175,11 +141,13 @@ func hotSubjects(n, shards int) ([]string, int) {
 // RunReshard executes one measurement; see the package comment for the
 // phase structure.
 func RunReshard(cfg ReshardConfig) (ReshardResult, error) {
-	cfg = cfg.withDefaults()
 	res := ReshardResult{
 		Backend: cfg.Backend, Shards: cfg.Shards, Subjects: cfg.Subjects,
 		Records: cfg.Records, Clients: cfg.Clients, ZipfS: cfg.ZipfS,
 		IOStallMicros: cfg.IOStall.Microseconds(), Seed: cfg.Seed,
+	}
+	if cfg.Shards < 3 || cfg.Subjects <= 0 || cfg.Records <= 0 || cfg.Clients <= 0 || cfg.OpsPerPhase <= 0 {
+		return res, fmt.Errorf("reshard: needs >= 3 shards and positive subjects, records, clients and ops: %+v", cfg)
 	}
 	subjects, hot := hotSubjects(cfg.Subjects, cfg.Shards)
 	res.HotShard = hot
@@ -281,60 +249,38 @@ func RunReshard(cfg ReshardConfig) (ReshardResult, error) {
 	return res, nil
 }
 
-// ReshardReport is the BENCH_reshard.json document.
-type ReshardReport struct {
-	Benchmark string          `json:"benchmark"`
-	Schema    int             `json:"schema"`
-	Results   []ReshardResult `json:"results"`
-}
-
-// reshardSchemaVersion is bumped when the report shape changes.
-const reshardSchemaVersion = 1
-
 // ReshardSpeedupFloor is the acceptance floor: post-split throughput
 // must reach at least this multiple of the pinned-shard baseline.
 const ReshardSpeedupFloor = 1.5
 
-// WriteReshardJSON writes the BENCH_reshard.json document to path.
-func WriteReshardJSON(path string, results []ReshardResult) error {
-	rep := ReshardReport{Benchmark: "reshard", Schema: reshardSchemaVersion, Results: results}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("reshard: encode report: %w", err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return fmt.Errorf("reshard: write %s: %w", path, err)
-	}
-	return nil
-}
-
-// ReadReshardJSON parses and validates a BENCH_reshard.json file,
-// enforcing the acceptance property: every row's post-split throughput
-// must reach ReshardSpeedupFloor times its pinned baseline.
-func ReadReshardJSON(path string) (ReshardReport, error) {
-	var rep ReshardReport
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return rep, fmt.Errorf("reshard: read %s: %w", path, err)
-	}
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		return rep, fmt.Errorf("reshard: parse %s: %w", path, err)
-	}
-	if rep.Benchmark != "reshard" {
-		return rep, fmt.Errorf("reshard: %s is not a reshard report (benchmark=%q)", path, rep.Benchmark)
-	}
-	if len(rep.Results) == 0 {
-		return rep, fmt.Errorf("reshard: %s has no results", path)
-	}
-	for i, r := range rep.Results {
-		if err := r.Validate(); err != nil {
-			return rep, fmt.Errorf("reshard: %s result %d: %w", path, i, err)
+// reshardSpec's parameters are a ReshardConfig whose Backend and Seed
+// the run fills per backend.
+var reshardSpec = spec[ReshardConfig, ReshardResult]{
+	name: "reshard",
+	desc: "elastic resharding: Zipfian hot shard measured before/after a live rebalancer split; writes BENCH_reshard.json",
+	presets: presets[ReshardConfig]{
+		"default": {Shards: 3, Subjects: 16, Records: 256, Clients: 8, OpsPerPhase: 4000,
+			ZipfS: 0.9, IOStall: 150 * time.Microsecond},
+		"ci": {Shards: 3, Subjects: 12, Records: 192, Clients: 6, OpsPerPhase: 2500,
+			ZipfS: 0.9, IOStall: 150 * time.Microsecond},
+	},
+	run: func(s Scale, cfg ReshardConfig) ([]ReshardResult, error) {
+		return perBackend(Backends(), func(backend string) (ReshardResult, error) {
+			cfg.Backend, cfg.Seed = backend, s.Seed
+			return RunReshard(cfg)
+		})
+	},
+	// The gates: on every backend a split actually happened, live (new
+	// shard opened, directory epoch advanced, a strict subset of the
+	// hot shard's subjects moved — Validate), and it recovered
+	// ReshardSpeedupFloor of throughput on the same workload.
+	check: func(rows []ReshardResult) error {
+		for i, r := range rows {
+			if r.SpeedupFactor < ReshardSpeedupFloor {
+				return fmt.Errorf("result %d (%s): post-split speedup %.2fx under the %.1fx floor",
+					i, r.Backend, r.SpeedupFactor, ReshardSpeedupFloor)
+			}
 		}
-		if r.SpeedupFactor < ReshardSpeedupFloor {
-			return rep, fmt.Errorf(
-				"reshard: %s result %d (%s): post-split speedup %.2fx under the %.1fx floor",
-				path, i, r.Backend, r.SpeedupFactor, ReshardSpeedupFloor)
-		}
-	}
-	return rep, nil
+		return onePerBackend(rows, func(r ReshardResult) string { return r.Backend }, Backends())
+	},
 }

@@ -1,16 +1,13 @@
 package benchx
 
 import (
-	"path/filepath"
 	"testing"
 	"time"
-
-	"github.com/datacase/datacase/internal/compliance"
 )
 
 // Small enough for CI; the phases still have to produce a real split
 // and sane numbers, but the unit test does not enforce the 1.5x floor
-// (the committed BENCH_reshard.json does, via ReadReshardJSON).
+// (the committed BENCH_reshard.json does, via the experiment's Check).
 func smallReshardConfig(backend string) ReshardConfig {
 	return ReshardConfig{
 		Backend: backend, Shards: 3, Subjects: 8, Records: 64,
@@ -40,42 +37,5 @@ func TestRunReshardSplitsHotShard(t *testing.T) {
 			}
 			t.Log(res.String())
 		})
-	}
-}
-
-func TestReshardJSONRoundTripAndGate(t *testing.T) {
-	good := ReshardResult{
-		Backend: compliance.BackendHeap, Shards: 3, Subjects: 8,
-		Records: 64, Clients: 4, ZipfS: 0.9,
-		Baseline:      ReshardPhase{Ops: 100, OpsPerSec: 1000, P99Micros: 900},
-		PostSplit:     ReshardPhase{Ops: 100, OpsPerSec: 1800, P99Micros: 500},
-		SpeedupFactor: 1.8, P99RecoveryFactor: 1.8,
-		SplitSubjects: 4, NewShards: []int{3}, EpochAfter: 1,
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_reshard.json")
-	if err := WriteReshardJSON(path, []ReshardResult{good}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadReshardJSON(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 1 || rep.Results[0].SpeedupFactor != 1.8 {
-		t.Fatalf("round trip mangled the report: %+v", rep)
-	}
-
-	slow := good
-	slow.SpeedupFactor = 1.2
-	if err := WriteReshardJSON(path, []ReshardResult{slow}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadReshardJSON(path); err == nil {
-		t.Fatal("speedup below the floor passed the gate")
-	}
-
-	noSplit := good
-	noSplit.NewShards = nil
-	if err := noSplit.Validate(); err == nil {
-		t.Fatal("result without a split validated")
 	}
 }

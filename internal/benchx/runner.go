@@ -10,11 +10,14 @@
 package benchx
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"github.com/datacase/datacase/internal/compliance"
+	"github.com/datacase/datacase/internal/core"
 	"github.com/datacase/datacase/internal/gdprbench"
+	"github.com/datacase/datacase/internal/loadgen"
 	"github.com/datacase/datacase/internal/ycsb"
 )
 
@@ -60,18 +63,6 @@ func LoadGDPR(db *compliance.DB, records int, seed int64) (time.Duration, error)
 	return time.Since(start), nil
 }
 
-// actorFor maps a workload to the entity/purpose its operations run as.
-func actorFor(w gdprbench.WorkloadName) (entity, purpose string) {
-	switch w {
-	case gdprbench.Processor:
-		return string(compliance.EntityProcessor), string(compliance.PurposeProcessing)
-	case gdprbench.Controller:
-		return string(compliance.EntityController), string(compliance.PurposeService)
-	default: // Customer
-		return string(compliance.EntitySubjectSvc), string(compliance.PurposeSubjectAccess)
-	}
-}
-
 // RunGDPRBench loads the dataset and executes txns operations of the
 // workload against a fresh DB for the profile.
 func RunGDPRBench(profile compliance.Profile, w gdprbench.WorkloadName, records, txns int, seed int64) (RunResult, error) {
@@ -89,7 +80,7 @@ func RunGDPRBench(profile compliance.Profile, w gdprbench.WorkloadName, records,
 		return RunResult{}, err
 	}
 	ops := gen.Ops(txns)
-	entity, purpose := actorFor(w)
+	entity, purpose := loadgen.ActorFor(w)
 	res := RunResult{
 		Label:    profile.Name,
 		Workload: string(w),
@@ -109,9 +100,7 @@ func RunGDPRBench(profile compliance.Profile, w gdprbench.WorkloadName, records,
 
 // executeGDPROps drives the op stream, tolerating not-found (deleted
 // keys) and denials, as the benchmark does.
-func executeGDPROps(db *compliance.DB, ops []gdprbench.Op, entity, purpose string) error {
-	e := entityID(entity)
-	p := purposeID(purpose)
+func executeGDPROps(db *compliance.DB, ops []gdprbench.Op, e core.EntityID, p core.Purpose) error {
 	for _, op := range ops {
 		var err error
 		switch op.Kind {
@@ -204,7 +193,7 @@ func SpaceAfterRun(profile compliance.Profile, w gdprbench.WorkloadName, records
 	if err != nil {
 		return compliance.SpaceReport{}, err
 	}
-	entity, purpose := actorFor(w)
+	entity, purpose := loadgen.ActorFor(w)
 	if err := executeGDPROps(db, gen.Ops(txns), entity, purpose); err != nil {
 		return compliance.SpaceReport{}, err
 	}
@@ -212,10 +201,5 @@ func SpaceAfterRun(profile compliance.Profile, w gdprbench.WorkloadName, records
 }
 
 func tolerable(err error) bool {
-	switch {
-	case err == nil:
-		return true
-	default:
-		return errorsIs(err, compliance.ErrNotFound) || errorsIs(err, compliance.ErrDenied)
-	}
+	return err == nil || errors.Is(err, compliance.ErrNotFound) || errors.Is(err, compliance.ErrDenied)
 }

@@ -2,13 +2,13 @@ package benchx
 
 import (
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"github.com/datacase/datacase/internal/compliance"
 	"github.com/datacase/datacase/internal/core"
 	"github.com/datacase/datacase/internal/fanout"
 	"github.com/datacase/datacase/internal/gdprbench"
+	"github.com/datacase/datacase/internal/loadgen"
 )
 
 // This file is the shard-scaling experiment: the same GDPR workloads,
@@ -20,21 +20,6 @@ import (
 
 // DefaultShardSweep is the shard-count sweep of the scaling experiment.
 func DefaultShardSweep() []int { return []int{1, 4, 16} }
-
-// subjectForKey derives a deterministic, well-spread data subject for
-// benchmark creates (the unsharded runner pins every created record to
-// one subject, which would pin them all to one shard).
-func subjectForKey(key string) string {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return fmt.Sprintf("person-%05d", h.Sum32()%100000)
-}
-
-// shardTolerable extends the per-op failure tolerance with cross-shard
-// duplicate creates (two clients racing on a recycled key).
-func shardTolerable(err error) bool {
-	return tolerable(err) || errorsIs(err, compliance.ErrExists)
-}
 
 // LoadShardedGDPR populates a sharded DB with the GDPRBench dataset
 // using `clients` concurrent loaders.
@@ -86,9 +71,7 @@ func RunShardedGDPRBench(profile compliance.Profile, w gdprbench.WorkloadName,
 		return RunResult{}, err
 	}
 	ops := gen.Ops(txns)
-	entity, purpose := actorFor(w)
-	e := entityID(entity)
-	p := purposeID(purpose)
+	e, p := loadgen.ActorFor(w)
 	res := RunResult{
 		Label:    fmt.Sprintf("%s/shards-%d", profile.Name, shards),
 		Workload: string(w),
@@ -102,31 +85,7 @@ func RunShardedGDPRBench(profile compliance.Profile, w gdprbench.WorkloadName,
 		lo := min(c*chunk, len(ops))
 		hi := min(lo+chunk, len(ops))
 		for _, op := range ops[lo:hi] {
-			var err error
-			switch op.Kind {
-			case gdprbench.OpCreate:
-				err = db.Create(gdprbench.Record{
-					Key:        op.Key,
-					Subject:    subjectForKey(op.Key),
-					Payload:    op.Payload,
-					Purposes:   []string{op.Purpose},
-					TTL:        1 << 40,
-					Processors: []string{"processor-a"},
-				})
-			case gdprbench.OpReadData:
-				_, err = db.ReadData(e, p, op.Key)
-			case gdprbench.OpUpdateData:
-				err = db.UpdateData(e, p, op.Key, op.Payload)
-			case gdprbench.OpDeleteData:
-				err = db.DeleteData(e, op.Key)
-			case gdprbench.OpReadMeta:
-				_, err = db.ReadMeta(e, p, op.Key)
-			case gdprbench.OpUpdateMeta:
-				err = db.UpdateMeta(e, p, op.Key, op.Purpose, op.NewTTL)
-			case gdprbench.OpReadByMeta:
-				_, err = db.ReadByMeta(e, p, op.Purpose, scanLimit)
-			}
-			if err != nil && !shardTolerable(err) {
+			if err := loadgen.ApplyOp(db, op, e, p, scanLimit); !loadgen.Tolerable(err) {
 				return fmt.Errorf("benchx: sharded op %v on %q: %w", op.Kind, op.Key, err)
 			}
 		}

@@ -44,14 +44,13 @@ import (
 // collection time as the policy window origin — a conservative
 // approximation that can only deny earlier, never allow longer.
 
-// checkpointVersion tags the row-bearing checkpoint payload encoding.
-// Version 2 appends the shard's view of the key->shard directory
-// (elastic resharding); version 1 payloads (no directory) still
-// decode. Region-backed engines (the mmap backend) checkpoint with
-// checkpointVersionRegion instead: scalars and directory only, no row
-// section — the rows live in the durable region, and snapshotting them
-// into the payload would reintroduce exactly the O(data) encode the
-// backend exists to avoid.
+// checkpointVersion tags the row-bearing checkpoint payload encoding:
+// scalars, rows and the shard's view of the key->shard directory
+// (elastic resharding). Region-backed engines (the mmap backend)
+// checkpoint with checkpointVersionRegion instead: scalars and
+// directory only, no row section — the rows live in the durable
+// region, and snapshotting them into the payload would reintroduce
+// exactly the O(data) encode the backend exists to avoid.
 const (
 	checkpointVersion       = 2
 	checkpointVersionRegion = 3
@@ -319,9 +318,9 @@ func recoverSharded(p Profile, images [][]byte, devs []*cryptox.BlockDev, region
 // artifacts — a birth record's embedded pre-split directory, standalone
 // RecDirectory records, and the directory embedded in the last
 // checkpoint — and returns the highest-epoch directory found (nil when
-// the deployment never resharded and has no version-2 checkpoints),
-// plus each image's birth-record epoch (0: the image does not open
-// with a birth record, so the shard is an ordinary member).
+// no image carries one), plus each image's birth-record epoch (0: the
+// image does not open with a birth record, so the shard is an ordinary
+// member).
 func adoptDirectory(images [][]byte) (*directory, []uint64, error) {
 	var best *directory
 	births := make([]uint64, len(images))
@@ -863,9 +862,9 @@ type checkpointState struct {
 	metaBytes     int64
 	rows          []checkpointRow
 	// dir is the encoded key->shard directory in force when the
-	// checkpoint was taken (empty for unsharded deployments and
-	// version-1 payloads). Recovery adopts the highest-epoch directory
-	// any shard's durable state carries.
+	// checkpoint was taken (empty for unsharded deployments). Recovery
+	// adopts the highest-epoch directory any shard's durable state
+	// carries.
 	dir []byte
 }
 
@@ -938,12 +937,14 @@ func encodeCheckpointState(db *DB) []byte {
 	return buf
 }
 
-// decodeCheckpointState parses a checkpoint payload.
+// decodeCheckpointState parses a checkpoint payload. Only the two
+// versions encodeCheckpointState writes are accepted: no image
+// outlives the process that wrote it.
 func decodeCheckpointState(buf []byte) (checkpointState, error) {
 	var cs checkpointState
 	r := byteReader{buf: buf}
 	ver, err := r.u8()
-	if err != nil || ver < 1 || ver > checkpointVersionRegion {
+	if err != nil || ver < checkpointVersion || ver > checkpointVersionRegion {
 		return cs, fmt.Errorf("compliance: bad checkpoint version (err=%v ver=%d)", err, ver)
 	}
 	if cs.clock, err = r.i64(); err != nil {
@@ -1017,16 +1018,11 @@ func decodeCheckpointState(buf []byte) (checkpointState, error) {
 		}
 		cs.rows = append(cs.rows, row)
 	}
-	if ver >= 2 {
-		if err := decodeCheckpointDir(&cs, &r); err != nil {
-			return cs, err
-		}
-	}
-	return cs, nil
+	return cs, decodeCheckpointDir(&cs, &r)
 }
 
 // decodeCheckpointDir parses the trailing directory section shared by
-// version 2 and version 3 payloads.
+// both payload versions.
 func decodeCheckpointDir(cs *checkpointState, r *byteReader) error {
 	flag, err := r.u8()
 	if err != nil {

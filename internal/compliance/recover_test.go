@@ -936,3 +936,53 @@ func TestRecoveryStatsString(t *testing.T) {
 		t.Fatal("empty stats rendering")
 	}
 }
+
+// TestDecodeCheckpointStateVersions pins the version check: the decoder
+// accepts exactly the two payload versions encodeCheckpointState writes
+// (row-bearing and region) and refuses every other tag.
+func TestDecodeCheckpointStateVersions(t *testing.T) {
+	payload := func(p Profile) []byte {
+		db, err := Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if err := db.Create(recTestRecord(0)); err != nil {
+			t.Fatal(err)
+		}
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		return encodeCheckpointState(db)
+	}
+	rows, region := payload(PBase()), payload(mmapTestProfile())
+	retag := func(buf []byte, ver byte) []byte {
+		out := append([]byte(nil), buf...)
+		out[0] = ver
+		return out
+	}
+	cases := []struct {
+		name    string
+		buf     []byte
+		wantErr bool
+		rows    int
+	}{
+		{"version 0", retag(rows, 0), true, 0},
+		{"version 1", retag(rows, 1), true, 0},
+		{"version 2 (rows)", rows, false, 1},
+		{"version 3 (region)", region, false, 0},
+		{"version 4", retag(region, 4), true, 0},
+	}
+	for _, c := range cases {
+		cs, err := decodeCheckpointState(c.buf)
+		if (err != nil) != c.wantErr {
+			t.Errorf("%s: err = %v, want error %v", c.name, err, c.wantErr)
+		}
+		if err == nil && len(cs.rows) != c.rows {
+			t.Errorf("%s: decoded %d rows, want %d", c.name, len(cs.rows), c.rows)
+		}
+	}
+	if rows[0] != checkpointVersion || region[0] != checkpointVersionRegion {
+		t.Fatalf("writers emit versions %d and %d, want %d and %d",
+			rows[0], region[0], checkpointVersion, checkpointVersionRegion)
+	}
+}

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"github.com/datacase/datacase/internal/core"
 	"github.com/datacase/datacase/internal/fanout"
 	"github.com/datacase/datacase/internal/gdprbench"
+	"github.com/datacase/datacase/internal/wal"
 )
 
 // Config sizes one closed-loop run.
@@ -101,18 +103,49 @@ func (r Result) String() string {
 		r.P50Micros, r.P95Micros, r.P99Micros)
 }
 
-// subjectForKey derives a deterministic, well-spread data subject for
+// Validate sanity-checks one result: counts consistent, quantiles
+// ordered, throughput positive.
+func (r Result) Validate() error {
+	switch {
+	case r.Ops <= 0:
+		return fmt.Errorf("loadgen: result has no ops")
+	case r.OpsPerSec <= 0:
+		return fmt.Errorf("loadgen: non-positive throughput %f", r.OpsPerSec)
+	case r.ElapsedSeconds <= 0:
+		return fmt.Errorf("loadgen: non-positive elapsed %f", r.ElapsedSeconds)
+	case r.P50Micros > r.P95Micros || r.P95Micros > r.P99Micros || r.P99Micros > r.MaxMicros:
+		return fmt.Errorf("loadgen: quantiles out of order: p50=%f p95=%f p99=%f max=%f",
+			r.P50Micros, r.P95Micros, r.P99Micros, r.MaxMicros)
+	case r.Clients <= 0 || r.Shards <= 0:
+		return fmt.Errorf("loadgen: bad topology clients=%d shards=%d", r.Clients, r.Shards)
+	case r.WALSyncs > r.WALAppends:
+		return fmt.Errorf("loadgen: more WAL syncs (%d) than appends (%d)", r.WALSyncs, r.WALAppends)
+	}
+	return nil
+}
+
+// StatsOf is a convenience view of a result's WAL counters.
+func (r Result) StatsOf() wal.Stats {
+	return wal.Stats{
+		Appends:     r.WALAppends,
+		Syncs:       r.WALSyncs,
+		MaxBatch:    r.WALMaxBatch,
+		GroupCommit: !r.SerialWAL,
+	}
+}
+
+// SubjectForKey derives a deterministic, well-spread data subject for
 // driver creates, so created records spread over shards instead of
 // pinning to one subject's home shard.
-func subjectForKey(key string) string {
+func SubjectForKey(key string) string {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(key))
 	return fmt.Sprintf("person-%05d", h.Sum32()%100000)
 }
 
-// actorFor maps a workload to the entity/purpose its operations run as,
+// ActorFor maps a workload to the entity/purpose its operations run as,
 // mirroring the paper's controller/processor/customer roles.
-func actorFor(w gdprbench.WorkloadName) (core.EntityID, core.Purpose) {
+func ActorFor(w gdprbench.WorkloadName) (core.EntityID, core.Purpose) {
 	switch w {
 	case gdprbench.Processor:
 		return compliance.EntityProcessor, compliance.PurposeProcessing
@@ -123,13 +156,14 @@ func actorFor(w gdprbench.WorkloadName) (core.EntityID, core.Purpose) {
 	}
 }
 
-// tolerable reports whether a per-op error is part of normal benchmark
-// operation (the generator re-draws deleted keys; strict profiles deny).
-func tolerable(err error) bool {
+// Tolerable reports whether a per-op error is part of normal benchmark
+// operation (the generator re-draws deleted keys; strict profiles deny;
+// two clients race on a recycled key).
+func Tolerable(err error) bool {
 	return err == nil ||
-		errorsIs(err, compliance.ErrNotFound) ||
-		errorsIs(err, compliance.ErrDenied) ||
-		errorsIs(err, compliance.ErrExists)
+		errors.Is(err, compliance.ErrNotFound) ||
+		errors.Is(err, compliance.ErrDenied) ||
+		errors.Is(err, compliance.ErrExists)
 }
 
 // Run executes one closed-loop measurement: open a sharded deployment,
@@ -175,7 +209,7 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	ops := opGen.Ops(cfg.Ops)
-	entity, purpose := actorFor(cfg.Workload)
+	entity, purpose := ActorFor(cfg.Workload)
 	baseline := db.Counters()
 	walBaseline := db.WALStats()
 
@@ -188,9 +222,9 @@ func Run(cfg Config) (Result, error) {
 		for i := lo; i < hi; i++ {
 			op := ops[i]
 			opStart := time.Now()
-			err := applyOp(db, op, entity, purpose, cfg.ScanLimit)
+			err := ApplyOp(db, op, entity, purpose, cfg.ScanLimit)
 			hist.RecordDuration(time.Since(opStart))
-			if !tolerable(err) {
+			if !Tolerable(err) {
 				return fmt.Errorf("loadgen: op %v on %q: %w", op.Kind, op.Key, err)
 			}
 		}
@@ -235,14 +269,14 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// applyOp executes one generated operation against the deployment.
-func applyOp(db *compliance.ShardedDB, op gdprbench.Op, entity core.EntityID,
+// ApplyOp executes one generated operation against the deployment.
+func ApplyOp(db *compliance.ShardedDB, op gdprbench.Op, entity core.EntityID,
 	purpose core.Purpose, scanLimit int) error {
 	switch op.Kind {
 	case gdprbench.OpCreate:
 		return db.Create(gdprbench.Record{
 			Key:        op.Key,
-			Subject:    subjectForKey(op.Key),
+			Subject:    SubjectForKey(op.Key),
 			Payload:    op.Payload,
 			Purposes:   []string{op.Purpose},
 			TTL:        1 << 40,

@@ -1,16 +1,11 @@
 package loadgen
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"github.com/datacase/datacase/internal/compliance"
 	"github.com/datacase/datacase/internal/gdprbench"
 )
-
-// osWriteFile aliases os.WriteFile for the garbage-input helpers.
-var osWriteFile = os.WriteFile
 
 // smallConfig keeps driver tests around tens of milliseconds.
 func smallConfig(w gdprbench.WorkloadName, clients int) Config {
@@ -137,58 +132,6 @@ func TestWALComparison(t *testing.T) {
 	}
 }
 
-func TestWriteReadJSONRoundTrip(t *testing.T) {
-	res, err := Run(smallConfig(gdprbench.Customer, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_loadgen.json")
-	if err := WriteJSON(path, []Result{res}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadJSON(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Benchmark != "loadgen" || rep.Schema != SchemaVersion {
-		t.Fatalf("envelope wrong: %+v", rep)
-	}
-	if len(rep.Results) != 1 || rep.Results[0] != res {
-		t.Fatalf("round trip diverged: %+v vs %+v", rep.Results[0], res)
-	}
-	if err := rep.Results[0].Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReadJSONRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := ReadJSON(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-	bad := filepath.Join(dir, "bad.json")
-	if err := writeFile(bad, "{not json"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadJSON(bad); err == nil {
-		t.Fatal("malformed JSON accepted")
-	}
-	empty := filepath.Join(dir, "empty.json")
-	if err := writeFile(empty, `{"benchmark":"loadgen","schema":1,"results":[]}`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadJSON(empty); err == nil {
-		t.Fatal("empty results accepted")
-	}
-	wrong := filepath.Join(dir, "wrong.json")
-	if err := writeFile(wrong, `{"benchmark":"other","results":[{}]}`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadJSON(wrong); err == nil {
-		t.Fatal("wrong benchmark accepted")
-	}
-}
-
 func TestResultValidate(t *testing.T) {
 	good := Result{
 		Ops: 10, OpsPerSec: 5, ElapsedSeconds: 2,
@@ -239,20 +182,16 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-// writeFile is a tiny helper so the garbage tests stay table-shaped.
-func writeFile(path, content string) error {
-	return osWriteFile(path, []byte(content), 0o644)
-}
-
-func TestReadJSONValidatesRows(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "rows.json")
-	doc := `{"benchmark":"loadgen","schema":1,"results":[
-	  {"workload":"WCon","ops":10,"ops_per_sec":0,"elapsed_seconds":1,
-	   "clients":1,"shards":1,"p50_micros":1,"p95_micros":2,"p99_micros":3,"max_micros":4}]}`
-	if err := writeFile(path, doc); err != nil {
-		t.Fatal(err)
+func TestActorMapping(t *testing.T) {
+	e, p := ActorFor(gdprbench.Processor)
+	if e != compliance.EntityProcessor || p != compliance.PurposeProcessing {
+		t.Fatalf("WPro actor = %s/%s", e, p)
 	}
-	if _, err := ReadJSON(path); err == nil {
-		t.Fatal("row with zero throughput accepted")
+	e, p = ActorFor(gdprbench.Customer)
+	if e != compliance.EntitySubjectSvc || p != compliance.PurposeSubjectAccess {
+		t.Fatalf("WCus actor = %s/%s", e, p)
+	}
+	if _, p := ActorFor(gdprbench.Controller); p != compliance.PurposeService {
+		t.Fatalf("WCon purpose = %s", p)
 	}
 }

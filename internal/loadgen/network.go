@@ -2,9 +2,8 @@ package loadgen
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
 	"sync/atomic"
 	"time"
 
@@ -132,8 +131,7 @@ func (r NetworkResult) String() string {
 		r.P50Micros, r.P95Micros, r.P99Micros)
 }
 
-// Validate sanity-checks one result; the CI smoke job fails on the
-// first violation.
+// Validate sanity-checks one result.
 func (r NetworkResult) Validate() error {
 	switch {
 	case r.Ops <= 0:
@@ -151,55 +149,6 @@ func (r NetworkResult) Validate() error {
 		return fmt.Errorf("loadgen: bad topology servers=%d shards=%d", r.Servers, r.ShardsPerServer)
 	}
 	return nil
-}
-
-// NetworkReport is the top-level BENCH_network.json document.
-type NetworkReport struct {
-	Benchmark string          `json:"benchmark"`
-	Schema    int             `json:"schema"`
-	Results   []NetworkResult `json:"results"`
-}
-
-// NetworkSchemaVersion is bumped when NetworkResult's JSON shape
-// changes.
-const NetworkSchemaVersion = 1
-
-// WriteNetworkJSON writes the BENCH_network.json document to path.
-func WriteNetworkJSON(path string, results []NetworkResult) error {
-	rep := NetworkReport{Benchmark: "network", Schema: NetworkSchemaVersion, Results: results}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("loadgen: encode network report: %w", err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return fmt.Errorf("loadgen: write %s: %w", path, err)
-	}
-	return nil
-}
-
-// ReadNetworkJSON parses and validates a BENCH_network.json document
-// (the CI smoke job's acceptance gate).
-func ReadNetworkJSON(path string) (NetworkReport, error) {
-	var rep NetworkReport
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return rep, fmt.Errorf("loadgen: read %s: %w", path, err)
-	}
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		return rep, fmt.Errorf("loadgen: parse %s: %w", path, err)
-	}
-	if rep.Benchmark != "network" {
-		return rep, fmt.Errorf("loadgen: %s is not a network report (benchmark=%q)", path, rep.Benchmark)
-	}
-	if len(rep.Results) == 0 {
-		return rep, fmt.Errorf("loadgen: %s has no results", path)
-	}
-	for i, r := range rep.Results {
-		if err := r.Validate(); err != nil {
-			return rep, fmt.Errorf("loadgen: %s result %d: %w", path, i, err)
-		}
-	}
-	return rep, nil
 }
 
 // selfHost builds the loopback topology: Servers wire servers over
@@ -288,7 +237,7 @@ func RunNetwork(cfg NetworkConfig) (NetworkResult, error) {
 		hi := min(lo+chunk, len(load))
 		for _, rec := range load[lo:hi] {
 			if _, err := client.Create(ctx, api.CreateRequest{Record: rec}); err != nil &&
-				!errorsIs(err, compliance.ErrExists) {
+				!errors.Is(err, compliance.ErrExists) {
 				return err
 			}
 		}
@@ -304,7 +253,7 @@ func RunNetwork(cfg NetworkConfig) (NetworkResult, error) {
 		return NetworkResult{}, err
 	}
 	ops := opGen.Ops(cfg.Ops)
-	entity, purpose := actorFor(cfg.Workload)
+	entity, purpose := ActorFor(cfg.Workload)
 
 	hist := &Histogram{}
 	var denied, notFound atomic.Uint64
@@ -325,11 +274,11 @@ func RunNetwork(cfg NetworkConfig) (NetworkResult, error) {
 			hist.RecordDuration(time.Since(opStart))
 			switch {
 			case err == nil:
-			case errorsIs(err, compliance.ErrDenied):
+			case errors.Is(err, compliance.ErrDenied):
 				denied.Add(1)
-			case errorsIs(err, compliance.ErrNotFound):
+			case errors.Is(err, compliance.ErrNotFound):
 				notFound.Add(1)
-			case errorsIs(err, compliance.ErrExists):
+			case errors.Is(err, compliance.ErrExists):
 				// recycled key re-created by a racing connection
 			default:
 				return fmt.Errorf("loadgen: network op %v on %q: %w", op.Kind, op.Key, err)
@@ -380,7 +329,7 @@ func applyNetOp(client *wire.RemoteClient, op gdprbench.Op, entity core.EntityID
 	case gdprbench.OpCreate:
 		_, err := client.Create(ctx, api.CreateRequest{Record: gdprbench.Record{
 			Key:        op.Key,
-			Subject:    subjectForKey(op.Key),
+			Subject:    SubjectForKey(op.Key),
 			Payload:    op.Payload,
 			Purposes:   []string{op.Purpose},
 			TTL:        1 << 40,
@@ -420,9 +369,6 @@ func applyNetOp(client *wire.RemoteClient, op gdprbench.Op, entity core.EntityID
 // NetworkSweep runs the soak at each connection count, reusing one
 // configuration otherwise.
 func NetworkSweep(cfg NetworkConfig, connCounts []int) ([]NetworkResult, error) {
-	if len(connCounts) == 0 {
-		connCounts = []int{64, 256, 1024}
-	}
 	results := make([]NetworkResult, 0, len(connCounts))
 	for _, conns := range connCounts {
 		cfg.Conns = conns

@@ -1,8 +1,6 @@
 package loadgen
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -29,53 +27,6 @@ func TestRunNetworkSmoke(t *testing.T) {
 	}
 }
 
-func TestNetworkJSONRoundTrip(t *testing.T) {
-	res, err := RunNetwork(NetworkConfig{
-		Workload: gdprbench.Customer,
-		Records:  200, Ops: 200, Conns: 4,
-		Servers: 1, ShardsPerServer: 2, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_network.json")
-	if err := WriteNetworkJSON(path, []NetworkResult{res}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadNetworkJSON(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Benchmark != "network" || rep.Schema != NetworkSchemaVersion || len(rep.Results) != 1 {
-		t.Fatalf("report = %+v", rep)
-	}
-	if rep.Results[0].Workload != string(gdprbench.Customer) {
-		t.Fatalf("workload = %q", rep.Results[0].Workload)
-	}
-}
-
-func TestReadNetworkJSONRejectsBadDocuments(t *testing.T) {
-	dir := t.TempDir()
-	cases := map[string]string{
-		"wrong-benchmark.json": `{"benchmark":"loadgen","schema":1,"results":[{"ops":1}]}`,
-		"no-results.json":      `{"benchmark":"network","schema":1,"results":[]}`,
-		"bad-result.json": `{"benchmark":"network","schema":1,"results":[
-			{"workload":"wcon","conns":4,"ops":0}]}`,
-		"quantile-disorder.json": `{"benchmark":"network","schema":1,"results":[
-			{"workload":"wcon","conns":4,"ops":10,"ops_per_sec":5,"elapsed_seconds":2,
-			 "p50_micros":90,"p95_micros":50,"p99_micros":100,"max_micros":200}]}`,
-	}
-	for name, doc := range cases {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadNetworkJSON(path); err == nil {
-			t.Fatalf("%s: accepted", name)
-		}
-	}
-}
-
 func TestNetworkResultString(t *testing.T) {
 	s := NetworkResult{
 		Workload: "wcon", Profile: "P_Base", Servers: 2, ShardsPerServer: 4,
@@ -85,6 +36,37 @@ func TestNetworkResultString(t *testing.T) {
 	for _, want := range []string{"wcon", "servers=2×4", "conns=64", "p99=30.0µs"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("row %q missing %q", s, want)
+		}
+	}
+}
+
+func TestNetworkResultValidate(t *testing.T) {
+	good := NetworkResult{
+		Ops: 10, OpsPerSec: 5, ElapsedSeconds: 2,
+		P50Micros: 1, P95Micros: 2, P99Micros: 3, MaxMicros: 4,
+		Conns: 4, Servers: 2, ShardsPerServer: 2, SelfHosted: true,
+	}
+	if err := good.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	external := good
+	external.SelfHosted, external.Servers, external.ShardsPerServer = false, 0, 0
+	if err := external.Validate(); err != nil {
+		t.Fatalf("external-deployment row refused: %v", err)
+	}
+	bads := []func(*NetworkResult){
+		func(r *NetworkResult) { r.Ops = 0 },
+		func(r *NetworkResult) { r.OpsPerSec = 0 },
+		func(r *NetworkResult) { r.ElapsedSeconds = 0 },
+		func(r *NetworkResult) { r.P50Micros = 90 },
+		func(r *NetworkResult) { r.Conns = 0 },
+		func(r *NetworkResult) { r.Servers = 0 },
+	}
+	for i, mutate := range bads {
+		r := good
+		mutate(&r)
+		if err := r.Validate(); err == nil {
+			t.Fatalf("bad result %d accepted", i)
 		}
 	}
 }
