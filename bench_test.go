@@ -1,7 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§4), plus ablations of the design choices DESIGN.md calls
-// out. One b.N iteration = one complete (reduced-scale) experiment; use
-// cmd/datacase-bench for full-scale sweeps and readable tables.
+// evaluation (§4), plus ablations of the design choices ARCHITECTURE.md
+// calls out. One b.N iteration = one complete (reduced-scale)
+// experiment; use cmd/datacase-bench for full-scale sweeps and readable
+// tables.
 package datacase_test
 
 import (
@@ -260,7 +261,7 @@ func BenchmarkWALCommitProtocol(b *testing.B) {
 	}
 }
 
-// ---- Ablations (DESIGN.md §5) ----
+// ---- Ablations (groundings: ARCHITECTURE.md §1; vacuum and engines: §5) ----
 
 // BenchmarkAblationVacuumThreshold sweeps the autovacuum dead-ratio
 // threshold of P_Base on WCus: too eager wastes vacuum passes, too lazy

@@ -217,17 +217,19 @@ var (
 	NewErasureDeadlineInvariant = core.NewErasureDeadlineInvariant
 )
 
-// ---- Compliance profiles and the DB facade (§4.2) ----
+// ---- Compliance profiles and the deployment (§4.2) ----
 
 type (
 	// Profile is a grounded interpretation of GDPR compliance.
 	Profile = compliance.Profile
-	// DB is a deployment of a profile over the storage stack.
-	DB = compliance.DB
-	// ShardedDB is a subject-sharded deployment: N independent DB
-	// shards routed by a hash of the data subject, with cross-shard
-	// operations fanned out over a bounded worker pool.
+	// ShardedDB is a deployment of a profile over the storage stack: N
+	// independent shards (one suffices) routed by a hash of the data
+	// subject, with cross-shard operations fanned out over a bounded
+	// worker pool.
 	ShardedDB = compliance.ShardedDB
+	// DB is one shard of a deployment, reached through ShardedDB.Shard
+	// for its engine, policy engine, logger and model mirror.
+	DB = compliance.DB
 	// SweepReport is the outcome of a retention sweep.
 	SweepReport = compliance.SweepReport
 	// ComplianceReport is the outcome of an invariant audit.
@@ -293,7 +295,10 @@ var (
 	ErrKeyNotFound = storage.ErrKeyNotFound
 )
 
-// Profile constructors and the DB opener.
+// OpenProfile builds a one-shard deployment of a profile.
+func OpenProfile(p Profile) (*ShardedDB, error) { return compliance.OpenSharded(p, 1) }
+
+// Profile constructors and the deployment openers.
 var (
 	// PBase is the least restrictive grounding (RBAC, CSV logs,
 	// AES-256, DELETE+VACUUM).
@@ -307,8 +312,6 @@ var (
 	PSYS = compliance.PSYS
 	// Profiles returns the three paper profiles.
 	Profiles = compliance.Profiles
-	// OpenProfile builds a DB for a profile.
-	OpenProfile = compliance.Open
 	// OpenSharded builds a subject-sharded deployment of a profile.
 	OpenSharded = compliance.OpenSharded
 	// OpenShardedWorkers is OpenSharded with an explicit fan-out width.
@@ -316,18 +319,9 @@ var (
 	// SubjectShard is the placement function of the sharded engine: the
 	// home shard of a data subject.
 	SubjectShard = compliance.SubjectShard
-	// RecoverDB rebuilds a deployment from the durable image of its WAL
-	// segment (crash recovery).
-	RecoverDB = compliance.RecoverDB
-	// RecoverSharded rebuilds a sharded deployment from per-shard WAL
-	// images, replaying the shards in parallel.
+	// RecoverSharded rebuilds a deployment from its per-shard WAL
+	// segment images (crash recovery), replaying the shards in parallel.
 	RecoverSharded = compliance.RecoverSharded
-	// RecoverShardedWorkers is RecoverSharded with an explicit fan-out
-	// width.
-	RecoverShardedWorkers = compliance.RecoverShardedWorkers
-	// RecoverDBWithRegion rebuilds an mmap-backed deployment from its
-	// WAL image plus the crashed region bytes.
-	RecoverDBWithRegion = compliance.RecoverDBWithRegion
 	// RecoverShardedWithRegions is RecoverSharded for mmap-backed
 	// deployments: per-shard WAL images plus per-shard region snapshots.
 	RecoverShardedWithRegions = compliance.RecoverShardedWithRegions
@@ -366,8 +360,6 @@ var (
 	// NewShardedErasureScheduler binds a scheduler to a sharded engine;
 	// its Advance escalates per-shard batches in parallel.
 	NewShardedErasureScheduler = erasure.NewShardedScheduler
-	// NewShardedErasureSchedulerWorkers bounds the scheduler's fan-out.
-	NewShardedErasureSchedulerWorkers = erasure.NewShardedSchedulerWorkers
 )
 
 // ---- Experiments (§4; Figures 3, 4(a)-(c); Tables 1-2) ----
@@ -526,9 +518,6 @@ var (
 	// clients replaying deterministic slices of a GDPRBench workload
 	// against a subject-sharded deployment.
 	RunLoadgen = loadgen.Run
-	// LoadgenWALComparison pairs a group-commit run with a
-	// per-append-locking run of the same configuration.
-	LoadgenWALComparison = loadgen.WALComparison
 	// ParseWorkload maps CLI spellings (wcon/wpro/wcus) to workloads.
 	ParseWorkload = gdprbench.ParseWorkload
 	// RunRecovery runs one crash-and-rebuild measurement.

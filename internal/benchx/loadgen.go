@@ -88,14 +88,11 @@ var loadgenSpec = spec[loadgenParams, loadgen.Result]{
 			}
 			profile := compliance.PBase()
 			profile.SerialWAL = true
-			serial, err := loadgen.Run(loadgen.Config{
-				Profile: profile, Workload: w, Records: s.Records, Ops: s.Txns,
-				Clients: sweep[len(sweep)-1], Shards: p.shards, Seed: s.Seed,
-			})
+			serial, err := LoadgenSweep(profile, w, s, p.shards, sweep[len(sweep)-1:])
 			if err != nil {
 				return results, err
 			}
-			results = append(results, serial)
+			results = append(results, serial...)
 		}
 		return results, nil
 	},

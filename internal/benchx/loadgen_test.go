@@ -61,8 +61,8 @@ func TestLoadgenSweepAndFigure(t *testing.T) {
 
 func TestLoadgenFigureSplitsSerialWAL(t *testing.T) {
 	results := []loadgen.Result{
-		{Workload: "WCon", Profile: "P_Base", Clients: 1, ElapsedSeconds: 0.1},
-		{Workload: "WCon", Profile: "P_Base", Clients: 1, ElapsedSeconds: 0.2, SerialWAL: true},
+		{Measured: loadgen.Measured{Workload: "WCon", Profile: "P_Base", ElapsedSeconds: 0.1}, Clients: 1},
+		{Measured: loadgen.Measured{Workload: "WCon", Profile: "P_Base", ElapsedSeconds: 0.2}, Clients: 1, SerialWAL: true},
 	}
 	fig := LoadgenFigure(results)
 	if len(fig.Series) != 2 {

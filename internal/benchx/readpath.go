@@ -1,12 +1,12 @@
 package benchx
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
 
 	"github.com/datacase/datacase/internal/compliance"
-	"github.com/datacase/datacase/internal/fanout"
 	"github.com/datacase/datacase/internal/gdprbench"
 	"github.com/datacase/datacase/internal/loadgen"
 	"github.com/datacase/datacase/internal/policy"
@@ -156,8 +156,9 @@ func RunReadPath(cfg ReadPathConfig) (ReadPathResult, error) {
 		return res, err
 	}
 	defer db.Close()
-	for i := 0; i < cfg.Records; i++ {
-		rec := gdprbench.Record{
+	recs := make([]gdprbench.Record, cfg.Records)
+	for i := range recs {
+		recs[i] = gdprbench.Record{
 			Key:        gdprbench.KeyFor(i),
 			Subject:    loadgen.SubjectForKey(gdprbench.KeyFor(i)),
 			Payload:    []byte(fmt.Sprintf("payload-%06d-%06d", cfg.Seed, i)),
@@ -165,59 +166,34 @@ func RunReadPath(cfg ReadPathConfig) (ReadPathResult, error) {
 			TTL:        1 << 40,
 			Processors: []string{"processor-a"},
 		}
-		if err := db.Create(rec); err != nil {
-			return res, err
-		}
 	}
-
-	// One deterministic key stream per reader.
-	streams := make([][]string, cfg.Readers)
-	perReader := (cfg.Ops + cfg.Readers - 1) / cfg.Readers
-	total := 0
-	for r := range streams {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(r)*7919))
-		n := min(perReader, cfg.Ops-total)
-		total += n
-		streams[r] = make([]string, n)
-		for i := range streams[r] {
-			streams[r][i] = gdprbench.KeyFor(rng.Intn(cfg.Records))
-		}
-	}
-
-	baseline := db.Counters()
-	hist := &loadgen.Histogram{}
-	start := time.Now()
-	err = fanout.Run(cfg.Readers, cfg.Readers, func(r int) error {
-		for i, key := range streams[r] {
-			opStart := time.Now()
-			var err error
-			if i%10 == 9 {
-				_, err = db.ReadMeta(compliance.EntityController, compliance.PurposeService, key)
-			} else {
-				_, err = db.ReadData(compliance.EntityController, compliance.PurposeService, key)
-			}
-			hist.RecordDuration(time.Since(opStart))
-			if err != nil {
-				return fmt.Errorf("readpath: read %q: %w", key, err)
-			}
-		}
-		return nil
-	})
-	elapsed := time.Since(start)
-	if err != nil {
+	ctx, dial := context.TODO(), loadgen.Local(db)
+	if _, err := loadgen.Preload(ctx, dial, 1, recs); err != nil {
 		return res, err
 	}
 
-	c := db.Counters()
-	res.ElapsedSecs = elapsed.Seconds()
-	if s := elapsed.Seconds(); s > 0 {
-		res.OpsPerSec = float64(total) / s
+	// One deterministic key stream per reader, laid end to end: the
+	// driver hands each reader one contiguous slice of this length.
+	perReader := (cfg.Ops + cfg.Readers - 1) / cfg.Readers
+	ops := make([]gdprbench.Op, 0, cfg.Ops)
+	for r := 0; r < cfg.Readers; r++ {
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(r)*7919))
+		for i, n := 0, min(perReader, cfg.Ops-len(ops)); i < n; i++ {
+			kind := gdprbench.OpReadData
+			if i%10 == 9 {
+				kind = gdprbench.OpReadMeta
+			}
+			ops = append(ops, gdprbench.Op{Kind: kind, Key: gdprbench.KeyFor(rng.Intn(cfg.Records))})
+		}
 	}
-	res.P50Micros = float64(hist.Quantile(0.50)) / 1e3
-	res.P95Micros = float64(hist.Quantile(0.95)) / 1e3
-	res.P99Micros = float64(hist.Quantile(0.99)) / 1e3
-	res.Denied = c.Denials - baseline.Denials
-	res.NotFound = c.NotFound - baseline.NotFound
+
+	m, err := loadgen.Drive(ctx, dial, cfg.Readers, ops, loadgen.ActorFor(gdprbench.Controller))
+	if err != nil {
+		return res, err
+	}
+	res.ElapsedSecs, res.OpsPerSec = m.ElapsedSeconds, m.OpsPerSec
+	res.P50Micros, res.P95Micros, res.P99Micros = m.P50Micros, m.P95Micros, m.P99Micros
+	res.Denied, res.NotFound = m.Denied, m.NotFound
 	st := sumPolicyStats(db)
 	res.CacheHits = st.CacheHits
 	res.CacheMisses = st.CacheMisses

@@ -43,18 +43,18 @@ func first[R any](f func(*R)) func(*Report) {
 
 func goodLoadgen() Report {
 	return Report{Benchmark: "loadgen", Results: []loadgen.Result{{
-		Workload: "WCon", Profile: "P_Base", Shards: 4, Clients: 2, Records: 100, Ops: 10,
-		ElapsedSeconds: 2, OpsPerSec: 5, P50Micros: 1, P95Micros: 2, P99Micros: 3, MaxMicros: 4,
-		WALAppends: 5, WALSyncs: 3,
+		Measured: loadgen.Measured{Workload: "WCon", Profile: "P_Base", Records: 100, Ops: 10,
+			ElapsedSeconds: 2, OpsPerSec: 5, P50Micros: 1, P95Micros: 2, P99Micros: 3, MaxMicros: 4},
+		Shards: 4, Clients: 2, WALAppends: 5, WALSyncs: 3,
 	}}}
 }
 
 func goodNetwork() Report {
 	row := func(conns int) loadgen.NetworkResult {
 		return loadgen.NetworkResult{
-			Workload: "WCon", Profile: "P_Base", Servers: 2, ShardsPerServer: 2, Conns: conns,
-			Records: 100, Ops: 10, ElapsedSeconds: 2, OpsPerSec: 5,
-			P50Micros: 50, P95Micros: 90, P99Micros: 100, MaxMicros: 200, SelfHosted: true,
+			Measured: loadgen.Measured{Workload: "WCon", Profile: "P_Base", Records: 100, Ops: 10,
+				ElapsedSeconds: 2, OpsPerSec: 5, P50Micros: 50, P95Micros: 90, P99Micros: 100, MaxMicros: 200},
+			Servers: 2, ShardsPerServer: 2, Conns: conns, SelfHosted: true,
 		}
 	}
 	return Report{Benchmark: "network", Results: []loadgen.NetworkResult{row(16), row(64)}}

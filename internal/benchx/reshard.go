@@ -1,11 +1,11 @@
 package benchx
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"github.com/datacase/datacase/internal/compliance"
-	"github.com/datacase/datacase/internal/fanout"
 	"github.com/datacase/datacase/internal/gdprbench"
 	"github.com/datacase/datacase/internal/loadgen"
 )
@@ -160,20 +160,23 @@ func RunReshard(cfg ReshardConfig) (ReshardResult, error) {
 
 	// Preload: Records spread round-robin over the hot subjects, so
 	// every record lands on the pinned shard.
+	ctx, dial := context.TODO(), loadgen.Local(db)
 	keysBySubject := make(map[string][]string, len(subjects))
-	for i := 0; i < cfg.Records; i++ {
+	recs := make([]gdprbench.Record, cfg.Records)
+	for i := range recs {
 		sub := subjects[i%len(subjects)]
 		key := fmt.Sprintf("reshard-%s-%04d", sub, i)
-		if err := db.Create(gdprbench.Record{
+		recs[i] = gdprbench.Record{
 			Key: key, Subject: sub,
 			Payload:    []byte(fmt.Sprintf("payload-%06d-%06d", cfg.Seed, i)),
 			Purposes:   []string{"analytics"},
 			TTL:        1 << 40,
 			Processors: []string{"processor-a"},
-		}); err != nil {
-			return res, err
 		}
 		keysBySubject[sub] = append(keysBySubject[sub], key)
+	}
+	if _, err := loadgen.Preload(ctx, dial, 1, recs); err != nil {
+		return res, err
 	}
 
 	// The update stream: draw i picks its subject by indexed Zipf rank
@@ -184,36 +187,24 @@ func RunReshard(cfg ReshardConfig) (ReshardResult, error) {
 		return res, err
 	}
 	phase := func(phaseSeed uint64) (ReshardPhase, error) {
-		ph := ReshardPhase{Ops: cfg.OpsPerPhase}
-		hist := &loadgen.Histogram{}
-		start := time.Now()
-		err := fanout.Run(cfg.Clients, cfg.Clients, func(c int) error {
-			for i := c; i < cfg.OpsPerPhase; i += cfg.Clients {
-				idx := phaseSeed*uint64(cfg.OpsPerPhase) + uint64(i)
-				sub := subjects[zipf.Rank(idx)]
-				keys := keysBySubject[sub]
-				key := keys[loadgen.Mix64(idx^0xA5A5)%uint64(len(keys))]
-				opStart := time.Now()
-				err := db.UpdateData(compliance.EntityController, compliance.PurposeService,
-					key, []byte(fmt.Sprintf("updated-%d", idx)))
-				hist.RecordDuration(time.Since(opStart))
-				if err != nil {
-					return fmt.Errorf("reshard: update %q: %w", key, err)
-				}
+		ops := make([]gdprbench.Op, cfg.OpsPerPhase)
+		for i := range ops {
+			idx := phaseSeed*uint64(cfg.OpsPerPhase) + uint64(i)
+			keys := keysBySubject[subjects[zipf.Rank(idx)]]
+			ops[i] = gdprbench.Op{
+				Kind:    gdprbench.OpUpdateData,
+				Key:     keys[loadgen.Mix64(idx^0xA5A5)%uint64(len(keys))],
+				Payload: []byte(fmt.Sprintf("updated-%d", idx)),
 			}
-			return nil
-		})
-		if err != nil {
-			return ph, err
 		}
-		elapsed := time.Since(start)
-		ph.ElapsedSecs = elapsed.Seconds()
-		if s := elapsed.Seconds(); s > 0 {
-			ph.OpsPerSec = float64(cfg.OpsPerPhase) / s
+		m, err := loadgen.Drive(ctx, dial, cfg.Clients, ops, loadgen.ActorFor(gdprbench.Controller))
+		if err == nil && m.Denied+m.NotFound > 0 {
+			err = fmt.Errorf("reshard: %d updates denied, %d missed live records", m.Denied, m.NotFound)
 		}
-		ph.P50Micros = float64(hist.Quantile(0.50)) / 1e3
-		ph.P99Micros = float64(hist.Quantile(0.99)) / 1e3
-		return ph, nil
+		return ReshardPhase{
+			Ops: m.Ops, ElapsedSecs: m.ElapsedSeconds, OpsPerSec: m.OpsPerSec,
+			P50Micros: m.P50Micros, P99Micros: m.P99Micros,
+		}, err
 	}
 
 	// Phase A: the pinned-shard baseline. The rebalancer anchors its

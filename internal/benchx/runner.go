@@ -10,12 +10,11 @@
 package benchx
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"time"
 
 	"github.com/datacase/datacase/internal/compliance"
-	"github.com/datacase/datacase/internal/core"
 	"github.com/datacase/datacase/internal/gdprbench"
 	"github.com/datacase/datacase/internal/loadgen"
 	"github.com/datacase/datacase/internal/ycsb"
@@ -42,164 +41,79 @@ func (r RunResult) String() string {
 		r.Label, r.Workload, r.Records, r.Txns, r.Elapsed.Round(time.Microsecond), r.LoadTime.Round(time.Millisecond))
 }
 
-// scanLimit bounds how many rows a read-by-meta query touches (the
-// paper's metadata reads return one subject's records, not the table).
-const scanLimit = 16
-
-// LoadGDPR populates a compliance DB with the GDPRBench dataset.
-func LoadGDPR(db *compliance.DB, records int, seed int64) (time.Duration, error) {
-	gen, err := gdprbench.NewGenerator(gdprbench.Customer, records, seed)
+// openLoaded opens a shards-wide deployment of the profile and preloads
+// the GDPRBench dataset through `clients` api.Local clients. It returns
+// the deployment (the caller closes it), the workload's seeded stream of
+// txns operations, and the result row labelled so far.
+func openLoaded(profile compliance.Profile, w gdprbench.WorkloadName, records, txns, shards, clients int,
+	seed int64) (*compliance.ShardedDB, []gdprbench.Op, RunResult, error) {
+	res := RunResult{Label: profile.Name, Workload: string(w), Records: records, Txns: txns}
+	db, err := compliance.OpenShardedWorkers(profile, shards, clients)
 	if err != nil {
-		return 0, err
+		return nil, nil, res, err
 	}
-	// TTLs far in the future: retention is not what these runs measure.
-	load := gen.Load(1<<40, 1<<41)
-	start := time.Now()
-	for _, rec := range load {
-		if err := db.Create(rec); err != nil {
-			return 0, err
-		}
+	ops, loadTime, err := loadgen.Prepare(context.TODO(), loadgen.Local(db), w, records, txns, clients, seed)
+	if err != nil {
+		db.Close()
+		return nil, nil, res, err
 	}
-	return time.Since(start), nil
+	res.LoadTime = loadTime
+	return db, ops, res, nil
+}
+
+// drive replays ops as the workload's actor through `clients` api.Local
+// clients of db and completes the result row.
+func drive(db *compliance.ShardedDB, clients int, ops []gdprbench.Op, w gdprbench.WorkloadName,
+	res RunResult) (RunResult, error) {
+	m, err := loadgen.Drive(context.TODO(), loadgen.Local(db), clients, ops, loadgen.ActorFor(w))
+	res.Elapsed = time.Duration(m.ElapsedSeconds * float64(time.Second))
+	res.Denied, res.NotFound = m.Denied, m.NotFound
+	return res, err
 }
 
 // RunGDPRBench loads the dataset and executes txns operations of the
-// workload against a fresh DB for the profile.
+// workload against a fresh one-shard deployment of the profile.
 func RunGDPRBench(profile compliance.Profile, w gdprbench.WorkloadName, records, txns int, seed int64) (RunResult, error) {
-	db, err := compliance.Open(profile)
-	if err != nil {
-		return RunResult{}, err
-	}
-	defer db.Close()
-	loadTime, err := LoadGDPR(db, records, seed)
-	if err != nil {
-		return RunResult{}, err
-	}
-	gen, err := gdprbench.NewGenerator(w, records, seed+7)
-	if err != nil {
-		return RunResult{}, err
-	}
-	ops := gen.Ops(txns)
-	entity, purpose := loadgen.ActorFor(w)
-	res := RunResult{
-		Label:    profile.Name,
-		Workload: string(w),
-		Records:  records,
-		Txns:     txns,
-		LoadTime: loadTime,
-	}
-	start := time.Now()
-	if err := executeGDPROps(db, ops, entity, purpose); err != nil {
-		return res, err
-	}
-	res.Elapsed = time.Since(start)
-	c := db.Counters()
-	res.Denied, res.NotFound = c.Denials, c.NotFound
-	return res, nil
-}
-
-// executeGDPROps drives the op stream, tolerating not-found (deleted
-// keys) and denials, as the benchmark does.
-func executeGDPROps(db *compliance.DB, ops []gdprbench.Op, e core.EntityID, p core.Purpose) error {
-	for _, op := range ops {
-		var err error
-		switch op.Kind {
-		case gdprbench.OpCreate:
-			err = db.Create(gdprbench.Record{
-				Key:        op.Key,
-				Subject:    "person-created",
-				Payload:    op.Payload,
-				Purposes:   []string{op.Purpose},
-				TTL:        1 << 40,
-				Processors: []string{"processor-a"},
-			})
-		case gdprbench.OpReadData:
-			_, err = db.ReadData(e, p, op.Key)
-		case gdprbench.OpUpdateData:
-			err = db.UpdateData(e, p, op.Key, op.Payload)
-		case gdprbench.OpDeleteData:
-			err = db.DeleteData(e, op.Key)
-		case gdprbench.OpReadMeta:
-			_, err = db.ReadMeta(e, p, op.Key)
-		case gdprbench.OpUpdateMeta:
-			err = db.UpdateMeta(e, p, op.Key, op.Purpose, op.NewTTL)
-		case gdprbench.OpReadByMeta:
-			_, err = db.ReadByMeta(e, p, op.Purpose, scanLimit)
-		}
-		if err != nil && !tolerable(err) {
-			return fmt.Errorf("benchx: op %v on %q: %w", op.Kind, op.Key, err)
-		}
-	}
-	return nil
+	res, err := RunShardedGDPRBench(profile, w, records, txns, 1, 1, seed)
+	res.Label = profile.Name
+	return res, err
 }
 
 // RunYCSB loads the GDPR dataset and executes a YCSB workload (the
-// paper's non-GDPR baseline) against a fresh DB for the profile.
+// paper's non-GDPR baseline) against a fresh one-shard deployment of
+// the profile: YCSB's reads and updates are the controller's data reads
+// and data updates.
 func RunYCSB(profile compliance.Profile, w ycsb.WorkloadName, records, txns int, seed int64) (RunResult, error) {
-	db, err := compliance.Open(profile)
+	db, _, res, err := openLoaded(profile, gdprbench.Controller, records, 0, 1, 1, seed)
 	if err != nil {
-		return RunResult{}, err
+		return res, err
 	}
 	defer db.Close()
-	loadTime, err := LoadGDPR(db, records, seed)
-	if err != nil {
-		return RunResult{}, err
-	}
+	res.Workload, res.Txns = string(w), txns
 	gen, err := ycsb.NewGenerator(w, records, 64, seed+7)
 	if err != nil {
-		return RunResult{}, err
+		return res, err
 	}
-	ops := gen.Ops(txns)
-	res := RunResult{
-		Label:    profile.Name,
-		Workload: string(w),
-		Records:  records,
-		Txns:     txns,
-		LoadTime: loadTime,
-	}
-	e := compliance.EntityController
-	p := compliance.PurposeService
-	start := time.Now()
-	for _, op := range ops {
-		var err error
-		switch op.Kind {
-		case ycsb.OpRead:
-			_, err = db.ReadData(e, p, op.Key)
-		case ycsb.OpUpdate:
-			err = db.UpdateData(e, p, op.Key, op.Payload)
-		}
-		if err != nil && !tolerable(err) {
-			return res, fmt.Errorf("benchx: ycsb %v on %q: %w", op.Kind, op.Key, err)
+	ops := make([]gdprbench.Op, txns)
+	for i, op := range gen.Ops(txns) {
+		ops[i] = gdprbench.Op{Kind: gdprbench.OpReadData, Key: op.Key}
+		if op.Kind == ycsb.OpUpdate {
+			ops[i] = gdprbench.Op{Kind: gdprbench.OpUpdateData, Key: op.Key, Payload: op.Payload}
 		}
 	}
-	res.Elapsed = time.Since(start)
-	c := db.Counters()
-	res.Denied, res.NotFound = c.Denials, c.NotFound
-	return res, nil
+	return drive(db, 1, ops, gdprbench.Controller, res)
 }
 
 // SpaceAfterRun loads and runs a workload, then returns the Table-2
 // space report of the deployment.
 func SpaceAfterRun(profile compliance.Profile, w gdprbench.WorkloadName, records, txns int, seed int64) (compliance.SpaceReport, error) {
-	db, err := compliance.Open(profile)
+	db, ops, res, err := openLoaded(profile, w, records, txns, 1, 1, seed)
 	if err != nil {
 		return compliance.SpaceReport{}, err
 	}
 	defer db.Close()
-	if _, err := LoadGDPR(db, records, seed); err != nil {
-		return compliance.SpaceReport{}, err
-	}
-	gen, err := gdprbench.NewGenerator(w, records, seed+7)
-	if err != nil {
-		return compliance.SpaceReport{}, err
-	}
-	entity, purpose := loadgen.ActorFor(w)
-	if err := executeGDPROps(db, gen.Ops(txns), entity, purpose); err != nil {
+	if _, err := drive(db, 1, ops, w, res); err != nil {
 		return compliance.SpaceReport{}, err
 	}
 	return db.Space(), nil
-}
-
-func tolerable(err error) bool {
-	return err == nil || errors.Is(err, compliance.ErrNotFound) || errors.Is(err, compliance.ErrDenied)
 }

@@ -6,9 +6,7 @@ import (
 
 	"github.com/datacase/datacase/internal/compliance"
 	"github.com/datacase/datacase/internal/core"
-	"github.com/datacase/datacase/internal/fanout"
 	"github.com/datacase/datacase/internal/gdprbench"
-	"github.com/datacase/datacase/internal/loadgen"
 )
 
 // This file is the shard-scaling experiment: the same GDPR workloads,
@@ -21,33 +19,6 @@ import (
 // DefaultShardSweep is the shard-count sweep of the scaling experiment.
 func DefaultShardSweep() []int { return []int{1, 4, 16} }
 
-// LoadShardedGDPR populates a sharded DB with the GDPRBench dataset
-// using `clients` concurrent loaders.
-func LoadShardedGDPR(db *compliance.ShardedDB, records int, seed int64, clients int) (time.Duration, error) {
-	gen, err := gdprbench.NewGenerator(gdprbench.Customer, records, seed)
-	if err != nil {
-		return 0, err
-	}
-	// TTLs far in the future: retention is not what these runs measure.
-	load := gen.Load(1<<40, 1<<41)
-	if clients <= 0 {
-		clients = 1
-	}
-	chunk := (len(load) + clients - 1) / clients
-	start := time.Now()
-	err = fanout.Run(clients, clients, func(c int) error {
-		lo := min(c*chunk, len(load))
-		hi := min(lo+chunk, len(load))
-		for _, rec := range load[lo:hi] {
-			if err := db.Create(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	return time.Since(start), err
-}
-
 // RunShardedGDPRBench loads the dataset into a sharded deployment and
 // executes the workload with `clients` concurrent clients, each client
 // replaying a contiguous partition of the op stream. clients <= 0
@@ -57,47 +28,13 @@ func RunShardedGDPRBench(profile compliance.Profile, w gdprbench.WorkloadName,
 	if clients <= 0 {
 		clients = shards
 	}
-	db, err := compliance.OpenShardedWorkers(profile, shards, clients)
-	if err != nil {
-		return RunResult{}, err
-	}
-	defer db.Close()
-	loadTime, err := LoadShardedGDPR(db, records, seed, clients)
-	if err != nil {
-		return RunResult{}, err
-	}
-	gen, err := gdprbench.NewGenerator(w, records, seed+7)
-	if err != nil {
-		return RunResult{}, err
-	}
-	ops := gen.Ops(txns)
-	e, p := loadgen.ActorFor(w)
-	res := RunResult{
-		Label:    fmt.Sprintf("%s/shards-%d", profile.Name, shards),
-		Workload: string(w),
-		Records:  records,
-		Txns:     txns,
-		LoadTime: loadTime,
-	}
-	chunk := (len(ops) + clients - 1) / clients
-	start := time.Now()
-	err = fanout.Run(clients, clients, func(c int) error {
-		lo := min(c*chunk, len(ops))
-		hi := min(lo+chunk, len(ops))
-		for _, op := range ops[lo:hi] {
-			if err := loadgen.ApplyOp(db, op, e, p, scanLimit); !loadgen.Tolerable(err) {
-				return fmt.Errorf("benchx: sharded op %v on %q: %w", op.Kind, op.Key, err)
-			}
-		}
-		return nil
-	})
+	db, ops, res, err := openLoaded(profile, w, records, txns, shards, clients, seed)
 	if err != nil {
 		return res, err
 	}
-	res.Elapsed = time.Since(start)
-	c := db.Counters()
-	res.Denied, res.NotFound = c.Denials, c.NotFound
-	return res, nil
+	defer db.Close()
+	res.Label = fmt.Sprintf("%s/shards-%d", profile.Name, shards)
+	return drive(db, clients, ops, w, res)
 }
 
 // RunShardedErasureBatch loads the dataset and measures a batched
@@ -108,26 +45,17 @@ func RunShardedErasureBatch(profile compliance.Profile, records, shards, clients
 	if clients <= 0 {
 		clients = shards
 	}
-	db, err := compliance.OpenShardedWorkers(profile, shards, clients)
+	db, _, res, err := openLoaded(profile, gdprbench.Customer, records, 0, shards, clients, seed)
 	if err != nil {
-		return RunResult{}, err
+		return res, err
 	}
 	defer db.Close()
-	loadTime, err := LoadShardedGDPR(db, records, seed, clients)
-	if err != nil {
-		return RunResult{}, err
-	}
 	keys := make([]string, records)
 	for i := range keys {
 		keys[i] = gdprbench.KeyFor(i)
 	}
-	res := RunResult{
-		Label:    fmt.Sprintf("%s/shards-%d", profile.Name, shards),
-		Workload: "erase-batch",
-		Records:  records,
-		Txns:     records,
-		LoadTime: loadTime,
-	}
+	res.Label = fmt.Sprintf("%s/shards-%d", profile.Name, shards)
+	res.Workload, res.Txns = "erase-batch", records
 	start := time.Now()
 	n, err := db.EraseBatch(compliance.EntitySystem, keys)
 	if err != nil {
@@ -148,22 +76,13 @@ func RunShardedAudit(profile compliance.Profile, records, shards, workers int, s
 	if workers <= 0 {
 		workers = shards
 	}
-	db, err := compliance.OpenShardedWorkers(profile, shards, workers)
+	db, _, res, err := openLoaded(profile, gdprbench.Customer, records, 0, shards, workers, seed)
 	if err != nil {
-		return RunResult{}, err
+		return res, err
 	}
 	defer db.Close()
-	loadTime, err := LoadShardedGDPR(db, records, seed, workers)
-	if err != nil {
-		return RunResult{}, err
-	}
-	res := RunResult{
-		Label:    fmt.Sprintf("%s/shards-%d", profile.Name, shards),
-		Workload: "audit",
-		Records:  records,
-		Txns:     1,
-		LoadTime: loadTime,
-	}
+	res.Label = fmt.Sprintf("%s/shards-%d", profile.Name, shards)
+	res.Workload, res.Txns = "audit", 1
 	start := time.Now()
 	rep, err := db.Audit(core.DefaultGDPRInvariants())
 	if err != nil {

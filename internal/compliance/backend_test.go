@@ -38,7 +38,7 @@ func mmapTestProfile() Profile {
 func TestOpenRejectsUnknownBackend(t *testing.T) {
 	p := PBase()
 	p.Backend = "rocksdb"
-	_, err := Open(p)
+	_, err := OpenSharded(p, 1)
 	if err == nil {
 		t.Fatal("unknown backend accepted")
 	}
@@ -54,7 +54,7 @@ func TestOpenRejectsUnknownBackend(t *testing.T) {
 	// a block device has no meaning and must be refused up front.
 	p = mmapTestProfile()
 	p.UseBlockDev = true
-	if _, err := Open(p); err == nil {
+	if _, err := OpenSharded(p, 1); err == nil {
 		t.Fatal("mmap+blockdev accepted")
 	}
 }
@@ -193,11 +193,18 @@ func TestRecoverRejectsMmapWithoutRegions(t *testing.T) {
 	if _, _, err := RecoverSharded(s.Profile(), s.SegmentImages()); err == nil {
 		t.Fatal("RecoverSharded accepted an mmap profile without regions")
 	}
-	if _, _, err := RecoverDB(s.Profile(), s.Shard(0).SegmentImage()); err == nil {
-		t.Fatal("RecoverDB accepted an mmap profile")
+	if _, _, err := RecoverSharded(s.Profile(), s.SegmentImages()[:1]); err == nil {
+		t.Fatal("RecoverSharded accepted one image of an mmap profile")
 	}
-	if _, _, err := RecoverDBWithRegion(PBase(), nil, []byte{1}); err == nil {
-		t.Fatal("RecoverDBWithRegion accepted a non-region backend")
+	heap, err := OpenSharded(PBase(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := RecoverShardedWithRegions(heap.Profile(), heap.SegmentImages(), [][]byte{{1}}); err == nil {
+		t.Fatal("RecoverShardedWithRegions accepted a non-region backend")
+	}
+	if _, _, err := RecoverShardedWithRegions(s.Profile(), s.SegmentImages(), make([][]byte, 2)); err == nil {
+		t.Fatal("RecoverShardedWithRegions accepted nil regions")
 	}
 	// The supported paths still work.
 	if _, _, err := s.Recover(); err != nil {
@@ -212,13 +219,13 @@ func TestRecoverRejectsMmapWithoutRegions(t *testing.T) {
 	}
 }
 
-// TestRecoverDBWithRegionSingle exercises the single-deployment region
-// entry point end to end: checkpoint mid-stream, crash, recover from
-// (image, region), serve reads, and survive a second crash cycle.
-func TestRecoverDBWithRegionSingle(t *testing.T) {
+// TestRecoverWithRegionsOneImage exercises the region entry point on a
+// one-shard deployment end to end: checkpoint mid-stream, crash, recover
+// from (image, region), serve reads, and survive a second crash cycle.
+func TestRecoverWithRegionsOneImage(t *testing.T) {
 	p := mmapTestProfile()
 	p.CheckpointEveryOps = 5
-	db, err := Open(p)
+	db, err := OpenSharded(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +240,7 @@ func TestRecoverDBWithRegionSingle(t *testing.T) {
 	if err := db.DeleteData(EntityController, recTestKey(5)); err != nil {
 		t.Fatal(err)
 	}
-	r, st, err := RecoverDBWithRegion(db.Profile(), db.SegmentImage(), db.RegionSnapshot())
+	r, st, err := RecoverShardedWithRegions(db.Profile(), db.SegmentImages(), db.RegionSnapshots())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +261,7 @@ func TestRecoverDBWithRegionSingle(t *testing.T) {
 	if err := r.Create(recTestRecord(20)); err != nil {
 		t.Fatal(err)
 	}
-	r2, _, err := RecoverDBWithRegion(r.Profile(), r.SegmentImage(), r.RegionSnapshot())
+	r2, _, err := RecoverShardedWithRegions(r.Profile(), r.SegmentImages(), r.RegionSnapshots())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +545,7 @@ func TestLSMRecoveryReRegistersPurges(t *testing.T) {
 func TestLSMSpaceReportsShadowedVersions(t *testing.T) {
 	p := lsmTestProfile()
 	p.PurgeWithinOps = 1 << 30 // keep the hazard visible
-	db, err := Open(p)
+	db, err := OpenSharded(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +563,7 @@ func TestLSMSpaceReportsShadowedVersions(t *testing.T) {
 	if rep.TotalBytes <= 0 || rep.PersonalBytes <= 0 {
 		t.Fatalf("space report: %+v", rep)
 	}
-	sp := db.Engine().Space()
+	sp := db.Shard(0).Engine().Space()
 	if sp.DeadEntries == 0 || sp.DeadBytes == 0 {
 		t.Fatalf("no shadowed/tombstoned entries visible: %+v", sp)
 	}

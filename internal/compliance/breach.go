@@ -16,15 +16,8 @@ import (
 // units (the 72-hour analogue).
 const BreachNotificationWindow core.Time = 72
 
-// RecordBreach records the detection of a personal data breach
-// affecting the given records.
-func (db *DB) RecordBreach(id string, affectedKeys []string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.recordBreachLocked(id, affectedKeys)
-}
-
-// recordBreachLocked is RecordBreach's body; caller holds mu.
+// recordBreachLocked records the detection of a personal data breach
+// affecting the given records; caller holds mu.
 func (db *DB) recordBreachLocked(id string, affectedKeys []string) error {
 	if id == "" {
 		return fmt.Errorf("compliance: breach needs an id")
@@ -47,15 +40,8 @@ func (db *DB) recordBreachLocked(id string, affectedKeys []string) error {
 	return nil
 }
 
-// NotifyBreach records that the supervisory authority and affected data
-// subjects were notified of the breach.
-func (db *DB) NotifyBreach(id string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.notifyBreachLocked(id)
-}
-
-// notifyBreachLocked is NotifyBreach's body; caller holds mu.
+// notifyBreachLocked records that the supervisory authority and
+// affected data subjects were notified of the breach; caller holds mu.
 func (db *DB) notifyBreachLocked(id string) error {
 	if id == "" {
 		return fmt.Errorf("compliance: breach needs an id")
@@ -97,14 +83,4 @@ func withBreachInvariant(invs *core.InvariantSet) (*core.InvariantSet, error) {
 		return nil, err
 	}
 	return full, nil
-}
-
-// AuditWithBreaches evaluates the default invariant set plus the breach
-// notification invariant.
-func (db *DB) AuditWithBreaches(invs *core.InvariantSet) (Report, error) {
-	full, err := withBreachInvariant(invs)
-	if err != nil {
-		return Report{}, err
-	}
-	return db.Audit(full)
 }

@@ -71,11 +71,11 @@ func TestBreachValidation(t *testing.T) {
 
 func TestBreachIsLogged(t *testing.T) {
 	db := openProfile(t, PBase(), false)
-	before := db.Logger().Count()
+	before := db.Shard(0).Logger().Count()
 	if err := db.RecordBreach("incident-1", []string{"k1", "k2"}); err != nil {
 		t.Fatal(err)
 	}
-	if db.Logger().Count() != before+1 {
+	if db.Shard(0).Logger().Count() != before+1 {
 		t.Fatal("breach detection not logged")
 	}
 }

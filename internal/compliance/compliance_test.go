@@ -21,10 +21,10 @@ func testRecord(i int) gdprbench.Record {
 	}
 }
 
-func openProfile(t *testing.T, p Profile, trackModel bool) *DB {
+func openProfile(t *testing.T, p Profile, trackModel bool) *ShardedDB {
 	t.Helper()
 	p.TrackModel = trackModel
-	db, err := Open(p)
+	db, err := OpenSharded(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func openProfile(t *testing.T, p Profile, trackModel bool) *DB {
 }
 
 // profileContract exercises behaviour all three profiles must share.
-func profileContract(t *testing.T, mk func(t *testing.T) *DB) {
+func profileContract(t *testing.T, mk func(t *testing.T) *ShardedDB) {
 	t.Helper()
 
 	t.Run("create_read_roundtrip", func(t *testing.T) {
@@ -58,7 +58,7 @@ func profileContract(t *testing.T, mk func(t *testing.T) *DB) {
 		}
 		// The heap row must not contain the plaintext payload: it is
 		// sealed or lives encrypted on the block device.
-		if db.data.ForensicScan(rec.Payload) {
+		if db.Shard(0).data.ForensicScan(rec.Payload) {
 			t.Fatal("plaintext payload at rest in heap pages")
 		}
 	})
@@ -181,22 +181,22 @@ func profileContract(t *testing.T, mk func(t *testing.T) *DB) {
 		if _, err := db.ReadData(EntityController, PurposeService, rec.Key); err != nil {
 			t.Fatal(err)
 		}
-		if db.Logger().Count() < 2 {
-			t.Fatalf("log entries = %d, want >= 2", db.Logger().Count())
+		if db.Shard(0).Logger().Count() < 2 {
+			t.Fatalf("log entries = %d, want >= 2", db.Shard(0).Logger().Count())
 		}
 	})
 }
 
 func TestPBaseContract(t *testing.T) {
-	profileContract(t, func(t *testing.T) *DB { return openProfile(t, PBase(), false) })
+	profileContract(t, func(t *testing.T) *ShardedDB { return openProfile(t, PBase(), false) })
 }
 
 func TestPGBenchContract(t *testing.T) {
-	profileContract(t, func(t *testing.T) *DB { return openProfile(t, PGBench(), false) })
+	profileContract(t, func(t *testing.T) *ShardedDB { return openProfile(t, PGBench(), false) })
 }
 
 func TestPSYSContract(t *testing.T) {
-	profileContract(t, func(t *testing.T) *DB { return openProfile(t, PSYS(), false) })
+	profileContract(t, func(t *testing.T) *ShardedDB { return openProfile(t, PSYS(), false) })
 }
 
 func TestPSYSLogErasureOnDelete(t *testing.T) {
@@ -214,7 +214,7 @@ func TestPSYSLogErasureOnDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only the erase record survives for the unit.
-	h, err := db.Logger().ReconstructHistory()
+	h, err := db.Shard(0).Logger().ReconstructHistory()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestPBaseKeepsLogsOnDelete(t *testing.T) {
 	if err := db.DeleteData(EntitySubjectSvc, rec.Key); err != nil {
 		t.Fatal(err)
 	}
-	h, err := db.Logger().ReconstructHistory()
+	h, err := db.Shard(0).Logger().ReconstructHistory()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +282,11 @@ func TestPGBenchRetainsDeletedPayloadOnDevice(t *testing.T) {
 	if err := db.Create(rec); err != nil {
 		t.Fatal(err)
 	}
-	sectors := db.blockdev.Sectors()
+	sectors := db.Shard(0).blockdev.Sectors()
 	if err := db.DeleteData(EntitySubjectSvc, rec.Key); err != nil {
 		t.Fatal(err)
 	}
-	if db.blockdev.Sectors() != sectors {
+	if db.Shard(0).blockdev.Sectors() != sectors {
 		t.Fatal("delete should not reclaim device sectors (plain DELETE)")
 	}
 }
@@ -453,12 +453,12 @@ func TestMetaPredicatesOnEncodedRow(t *testing.T) {
 }
 
 func TestOpenValidation(t *testing.T) {
-	if _, err := Open(Profile{}); err == nil {
+	if _, err := OpenSharded(Profile{}, 1); err == nil {
 		t.Fatal("empty profile accepted")
 	}
 	p := PBase()
 	p.VacuumThreshold = 2
-	if _, err := Open(p); err == nil {
+	if _, err := OpenSharded(p, 1); err == nil {
 		t.Fatal("bad threshold accepted")
 	}
 }

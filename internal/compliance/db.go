@@ -117,9 +117,14 @@ func (c *counterBlock) snapshot() Counters {
 	}
 }
 
-// DB is one grounded deployment: a heap table of GDPR records plus the
-// profile's policy engine, audit logger and at-rest protection. All
-// operations are policy-checked and logged per the profile's grounding.
+// DB is one shard of a deployment (ShardedDB is the deployment, also
+// at one shard): a data table of GDPR records plus the profile's policy
+// engine, audit logger and at-rest protection. All operations are
+// policy-checked and logged per the profile's grounding. The keyed and
+// subject-scoped operations are the …Locked methods: ShardedDB routes
+// to a shard, takes its lock, revalidates the route and calls them.
+// What a shard locks for itself are the fan-out targets (ReadByMeta,
+// Audit, SweepExpired, Space, Checkpoint).
 //
 // Concurrency model (ARCHITECTURE.md §6): mu is a read/write lock.
 // Mutations — creates, updates, deletes, consent changes, erase
@@ -191,8 +196,8 @@ type DB struct {
 	mutationsSinceClockNote int
 
 	// onDelete, when set, is invoked (with mu held) for every record
-	// physically removed from this DB, including dependent cascades. The
-	// sharded facade uses it to keep its key directory exact.
+	// physically removed from this DB, including dependent cascades.
+	// ShardedDB uses it to keep its key directory exact.
 	onDelete func(key string)
 
 	// dirSnapshot, when set, returns the encoded key->shard directory in
@@ -208,19 +213,9 @@ type DB struct {
 	loads *loadTracker
 }
 
-// Open builds a DB for the profile. A nil Profile.PayloadKey is
-// materialized with a fresh random key first (the KMS issuing the
-// deployment its at-rest secret); read it back via Profile() — crash
-// recovery needs it.
-func Open(p Profile) (*DB, error) {
-	if err := materializePayloadKey(&p); err != nil {
-		return nil, err
-	}
-	return openNamed(p, p.Name+":data", &core.Clock{})
-}
-
 // materializePayloadKey draws the at-rest key for profiles that seal
-// payloads and did not bring one.
+// payloads and did not bring one (the KMS issuing the deployment its
+// at-rest secret); read it back via Profile() — crash recovery needs it.
 func materializePayloadKey(p *Profile) error {
 	if p.UseBlockDev || len(p.PayloadKey) > 0 {
 		return nil
@@ -236,10 +231,9 @@ func materializePayloadKey(p *Profile) error {
 	return nil
 }
 
-// openNamed builds a DB whose heap table (and therefore WAL segment)
-// carries the given name, ticking the given clock. OpenSharded uses it
-// to give every shard its own named table and log segment while all
-// shards share one clock.
+// openNamed builds a shard whose data table (and therefore WAL segment)
+// carries the given name, ticking the given clock: every shard has its
+// own named table and log segment while all shards share one clock.
 func openNamed(p Profile, tableName string, clock *core.Clock) (*DB, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -272,7 +266,7 @@ func openNamed(p Profile, tableName string, clock *core.Clock) (*DB, error) {
 		prov:     provenance.NewGraph(),
 	}
 	if !p.SyncAudit {
-		db.asink = audit.NewAsync(logger, p.AuditQueueDepth)
+		db.asink = audit.NewAsync(logger, audit.DefaultAsyncDepth)
 		db.logger = db.asink
 	}
 	if p.UseBlockDev {
@@ -285,7 +279,7 @@ func openNamed(p Profile, tableName string, clock *core.Clock) (*DB, error) {
 		db.blockdev = dev
 	} else {
 		// The at-rest key is the profile's KMS-held secret
-		// (Profile.PayloadKey, materialized by Open/OpenSharded): it
+		// (Profile.PayloadKey, materialized by OpenSharded): it
 		// survives a crash while process memory does not, so recovery —
 		// given the crashed deployment's materialized profile — builds
 		// the same sealer and the blobs replayed from the WAL stay
@@ -398,8 +392,8 @@ func (db *DB) Len() int { return db.data.Len() }
 func (db *DB) WALStats() wal.Stats { return db.data.Log().Stats() }
 
 // SegmentImage returns the durable byte image of the deployment's WAL
-// segment — what a crash would leave on disk. RecoverDB rebuilds a
-// deployment from it.
+// segment — what a crash would leave on disk. RecoverSharded rebuilds
+// a deployment from one image per shard.
 func (db *DB) SegmentImage() []byte { return db.data.Log().SegmentBytes() }
 
 // WALLen returns the number of live records in the deployment's WAL
@@ -627,18 +621,12 @@ func (db *DB) unprotect(blob []byte) ([]byte, error) {
 	return db.sealer.Open(blob)
 }
 
-// Create collects a new record with consent: stores it protected,
-// attaches the consented policies, and logs the collection.
-func (db *DB) Create(rec gdprbench.Record) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.createLocked(rec)
-}
-
-// createLocked is Create's body; caller holds mu. The sharded facade
-// calls it after validating the subject's routing under this shard's
-// lock, so a concurrent split cannot strand the new record on a shard
-// the directory no longer points at.
+// createLocked collects a new record with consent: stores it
+// protected, attaches the consented policies, and logs the collection.
+// Caller holds mu: ShardedDB.Create calls it after validating the
+// subject's routing under this shard's lock, so a concurrent split
+// cannot strand the new record on a shard the directory no longer
+// points at.
 func (db *DB) createLocked(rec gdprbench.Record) error {
 	now := db.clock.Tick()
 	meta := Metadata{
@@ -695,14 +683,6 @@ func (db *DB) createLocked(rec gdprbench.Record) error {
 	db.noteClockLocked(false)
 	db.maybeCheckpointLocked()
 	return nil
-}
-
-// CreateBatch collects N records under one lock acquisition. See
-// createBatchLocked for the amortization contract.
-func (db *DB) CreateBatch(recs []gdprbench.Record) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.createBatchLocked(recs)
 }
 
 // createBatchLocked admits a whole batch of new records with the
@@ -838,17 +818,11 @@ func recordPolicies(rec gdprbench.Record, now, deadline core.Time) []core.Policy
 	}
 }
 
-// ReadData reads a record's personal data by key. It runs under the
-// shared lock: the engine Get, the policy check (decision cache
-// included), the decrypt and the audit record are all safe for
-// concurrent readers, so reads scale instead of queueing behind one
-// mutex.
-func (db *DB) ReadData(entity core.EntityID, purpose core.Purpose, key string) ([]byte, error) {
-	defer db.rlock()()
-	return db.readDataLocked(entity, purpose, key)
-}
-
-// readDataLocked is ReadData's body; caller holds the read-path lock.
+// readDataLocked reads a record's personal data by key. Caller holds
+// the read-path lock, which is shared: the engine Get, the policy check
+// (decision cache included), the decrypt and the audit record are all
+// safe for concurrent readers, so reads scale instead of queueing
+// behind one mutex.
 func (db *DB) readDataLocked(entity core.EntityID, purpose core.Purpose, key string) ([]byte, error) {
 	now := db.clock.Tick()
 	row, ok := db.data.Get([]byte(key))
@@ -886,14 +860,7 @@ func (db *DB) readDataLocked(entity core.EntityID, purpose core.Purpose, key str
 	return payload, nil
 }
 
-// UpdateData overwrites a record's personal data.
-func (db *DB) UpdateData(entity core.EntityID, purpose core.Purpose, key string, payload []byte) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.updateDataLocked(entity, purpose, key, payload)
-}
-
-// updateDataLocked is UpdateData's body; caller holds mu.
+// updateDataLocked overwrites a record's personal data; caller holds mu.
 func (db *DB) updateDataLocked(entity core.EntityID, purpose core.Purpose, key string, payload []byte) error {
 	now := db.clock.Tick()
 	row, ok := db.data.Get([]byte(key))
@@ -945,17 +912,11 @@ func (db *DB) updateDataLocked(entity core.EntityID, purpose core.Purpose, key s
 	return nil
 }
 
-// DeleteData erases a record per the profile's erasure grounding. The
-// action is required by regulation (right to erasure / retention
+// deleteDataLocked erases a record per the profile's erasure grounding.
+// The action is required by regulation (right to erasure / retention
 // expiry), so it needs no authorizing policy, but it must be recorded.
-func (db *DB) DeleteData(entity core.EntityID, key string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.deleteDataLocked(entity, key)
-}
-
-// deleteDataLocked is DeleteData's body; caller holds mu (EraseSubject
-// erases a whole subject under one lock acquisition).
+// Caller holds mu (EraseSubject erases a whole subject under one lock
+// acquisition).
 func (db *DB) deleteDataLocked(entity core.EntityID, key string) error {
 	now := db.clock.Tick()
 	// The subject is needed for the strong grounding's cascade; read it
@@ -1032,15 +993,10 @@ func (db *DB) deleteDataLocked(entity core.EntityID, key string) error {
 	return nil
 }
 
-// ReadMeta answers a keyed metadata query for one record (the customer
-// workload's "reads of metadata": a subject inspecting their own
-// record's policies and TTL). Shared-lock read path, like ReadData.
-func (db *DB) ReadMeta(entity core.EntityID, purpose core.Purpose, key string) (Metadata, error) {
-	defer db.rlock()()
-	return db.readMetaLocked(entity, purpose, key)
-}
-
-// readMetaLocked is ReadMeta's body; caller holds the read-path lock.
+// readMetaLocked answers a keyed metadata query for one record (the
+// customer workload's "reads of metadata": a subject inspecting their
+// own record's policies and TTL). Caller holds the read-path lock, like
+// readDataLocked.
 func (db *DB) readMetaLocked(entity core.EntityID, purpose core.Purpose, key string) (Metadata, error) {
 	now := db.clock.Tick()
 	row, ok := db.data.Get([]byte(key))
@@ -1074,15 +1030,8 @@ func (db *DB) readMetaLocked(entity core.EntityID, purpose core.Purpose, key str
 	return rec.Meta, nil
 }
 
-// UpdateMeta changes a record's metadata: sets a new TTL and consents to
-// an additional purpose.
-func (db *DB) UpdateMeta(entity core.EntityID, purpose core.Purpose, key, newPurpose string, newTTL int64) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.updateMetaLocked(entity, purpose, key, newPurpose, newTTL)
-}
-
-// updateMetaLocked is UpdateMeta's body; caller holds mu.
+// updateMetaLocked changes a record's metadata: sets a new TTL and
+// consents to an additional purpose. Caller holds mu.
 func (db *DB) updateMetaLocked(entity core.EntityID, purpose core.Purpose, key, newPurpose string, newTTL int64) error {
 	now := db.clock.Tick()
 	row, ok := db.data.Get([]byte(key))
@@ -1149,9 +1098,11 @@ func (db *DB) updateMetaLocked(entity core.EntityID, purpose core.Purpose, key, 
 	return nil
 }
 
-// ReadByMeta reads data using metadata: scan for records collected for
-// the purpose and read up to limit of them (policy-checked and
-// decrypted individually, as FGAC demands).
+// ReadByMeta reads data using metadata on this shard: scan for records
+// collected for the purpose and read up to limit of them
+// (policy-checked and decrypted individually, as FGAC demands). It is a
+// fan-out target: api.Local walks the shards through it, checking the
+// caller's context between them.
 func (db *DB) ReadByMeta(entity core.EntityID, purpose core.Purpose, metaPurpose string, limit int) (int, error) {
 	var budget atomic.Int64
 	budget.Store(int64(limit))
@@ -1161,8 +1112,8 @@ func (db *DB) ReadByMeta(entity core.EntityID, purpose core.Purpose, metaPurpose
 // readByMetaBudget is ReadByMeta drawing match slots from a shared
 // budget, so the sharded fan-out can bound its merged result at the
 // caller's limit. A slot is consumed when a row matches the metadata
-// predicate (denied rows keep their slot, as in the unsharded path:
-// the limit bounds the scan, not the successful reads).
+// predicate (denied rows keep their slot: the limit bounds the scan,
+// not the successful reads).
 func (db *DB) readByMetaBudget(entity core.EntityID, purpose core.Purpose, metaPurpose string, budget *atomic.Int64) (int, error) {
 	defer db.rlock()()
 	now := db.clock.Tick()

@@ -170,19 +170,12 @@ func (db *DB) insertDerivedLocked(entity core.EntityID, purpose core.Purpose, ne
 	return nil
 }
 
-// Derive creates a derived record from parent records: the entity must
-// be allowed to read every parent for the purpose; the derived record's
-// subject aggregates the parents' subjects, its purposes are the
-// intersection, and its TTL is the minimum — the policy restriction of
-// §2.1. The derivation is recorded in the provenance graph.
-func (db *DB) Derive(entity core.EntityID, purpose core.Purpose, newKey string,
-	parentKeys []string, f Transform, invertible bool, description string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.deriveLocked(entity, purpose, newKey, parentKeys, f, invertible, description)
-}
-
-// deriveLocked is Derive's body; caller holds mu.
+// deriveLocked creates a derived record from parent records on this
+// shard: the entity must be allowed to read every parent for the
+// purpose; the derived record's subject aggregates the parents'
+// subjects, its purposes are the intersection, and its TTL is the
+// minimum — the policy restriction of §2.1. The derivation is recorded
+// in the provenance graph. Caller holds mu.
 func (db *DB) deriveLocked(entity core.EntityID, purpose core.Purpose, newKey string,
 	parentKeys []string, f Transform, invertible bool, description string) error {
 	if len(parentKeys) == 0 {

@@ -492,22 +492,22 @@ func TestIngestBatchEraseRaceNoZombies(t *testing.T) {
 // never a panic or an attacker-sized allocation, and an accepted frame
 // must re-encode through the same sorted-key framing losslessly.
 func FuzzCheckpointDelta(f *testing.F) {
-	db, err := Open(PBase())
+	db, err := OpenSharded(PBase(), 1)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(encodeCheckpointDelta(db))
+	f.Add(encodeCheckpointDelta(db.Shard(0)))
 	if err := db.Create(recTestRecord(0)); err != nil {
 		f.Fatal(err)
 	}
 	if err := db.Create(recTestRecord(1)); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(encodeCheckpointDelta(db))
+	f.Add(encodeCheckpointDelta(db.Shard(0)))
 	f.Add([]byte{})
 	f.Add([]byte{checkpointDeltaVersion})
 	f.Add([]byte{checkpointDeltaVersion + 1, 0, 0, 0, 0})
-	f.Add(append(encodeCheckpointDelta(db), 0xff)) // trailing byte
+	f.Add(append(encodeCheckpointDelta(db.Shard(0)), 0xff)) // trailing byte
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := decodeCheckpointDelta(data)
 		if err != nil {

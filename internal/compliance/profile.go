@@ -170,12 +170,10 @@ type Profile struct {
 	// denials, mutations and regulation-required records always stay
 	// synchronous, and the sink flushes at every audit, checkpoint, log
 	// inspection, log erasure and close, so nothing observable ever
-	// misses a record. The synchronous mode is the benchmark baseline.
+	// misses a record. The sink's queue is audit.DefaultAsyncDepth deep;
+	// a full queue blocks readers (bounded backpressure) — records are
+	// never dropped. The synchronous mode is the benchmark baseline.
 	SyncAudit bool
-	// AuditQueueDepth bounds the async audit queue; 0 selects
-	// audit.DefaultAsyncDepth. A full queue blocks readers (bounded
-	// backpressure) — records are never dropped.
-	AuditQueueDepth int
 
 	// ExclusiveReads makes the read path take the shard's exclusive
 	// lock, as the pre-concurrent engine did — reads serialize behind

@@ -34,7 +34,7 @@ func TestDBAgainstReferenceProperty(t *testing.T) {
 	}
 	f := func(seed int64, profileIdx uint8) bool {
 		p := profiles[int(profileIdx)%len(profiles)]
-		db, err := Open(p)
+		db, err := OpenSharded(p, 1)
 		if err != nil {
 			return false
 		}
@@ -143,7 +143,7 @@ func TestDBAgainstReferenceProperty(t *testing.T) {
 // live records of the subject.
 func TestSubjectAccessMatchesReferenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		db, err := Open(PSYS())
+		db, err := OpenSharded(PSYS(), 1)
 		if err != nil {
 			return false
 		}

@@ -217,7 +217,7 @@ func TestDecisionCacheInvalidationMatrix(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				st := db.PolicyEngine().Stats()
+				st := db.Shard(0).PolicyEngine().Stats()
 				if st.CacheHits == 0 {
 					t.Fatal("cache never warmed")
 				}
@@ -227,7 +227,7 @@ func TestDecisionCacheInvalidationMatrix(t *testing.T) {
 				if _, err := db.ReadData(EntityController, PurposeService, rec.Key); !errors.Is(err, ErrDenied) {
 					t.Fatalf("post-revoke read: err = %v, want ErrDenied", err)
 				}
-				if after := db.PolicyEngine().Stats(); after.CacheInvalidations <= st.CacheInvalidations {
+				if after := db.Shard(0).PolicyEngine().Stats(); after.CacheInvalidations <= st.CacheInvalidations {
 					t.Fatal("revocation recorded no cache invalidation")
 				}
 			})
@@ -249,7 +249,7 @@ func TestDecisionCacheInvalidationMatrix(t *testing.T) {
 				if _, err := db.ReadData(EntityController, PurposeService, rec.Key); !errors.Is(err, ErrDenied) {
 					t.Fatalf("post-expiry read: err = %v, want ErrDenied", err)
 				}
-				if st := db.PolicyEngine().Stats(); st.CacheStaleKills == 0 {
+				if st := db.Shard(0).PolicyEngine().Stats(); st.CacheStaleKills == 0 {
 					t.Fatal("expiry recorded no stale kill")
 				}
 			})
@@ -328,7 +328,7 @@ func TestDecisionCacheInvalidationMatrix(t *testing.T) {
 				// decision cache, and the replayed RecConsent record must
 				// keep the revocation in force — a recovered cache that
 				// re-allowed would be a stale decision surviving the crash.
-				rdb, _, err := RecoverDB(db.Profile(), db.SegmentImage())
+				rdb, _, err := RecoverSharded(db.Profile(), db.SegmentImages())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -358,7 +358,7 @@ func TestCacheServedDecisionInAuditTrail(t *testing.T) {
 		LogResponses:       true,
 		LogPolicySnapshots: true,
 	}
-	db, err := Open(p)
+	db, err := OpenSharded(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestCacheServedDecisionInAuditTrail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c := db.Logger().Count(); c == 0 { // flushes the async sink
+	if c := db.Shard(0).Logger().Count(); c == 0 { // flushes the async sink
 		t.Fatal("no audit entries")
 	}
 	var cold, cached bool
@@ -406,7 +406,7 @@ func TestAsyncAuditEraseCoversQueuedReads(t *testing.T) {
 		PayloadCipher:     cryptox.AES128,
 		EraseLogsOnDelete: true,
 	}
-	db, err := Open(p)
+	db, err := OpenSharded(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestAsyncAuditEraseCoversQueuedReads(t *testing.T) {
 	if err := db.DeleteData(EntitySystem, rec.Key); err != nil {
 		t.Fatal(err)
 	}
-	db.Logger().Count() // flush
+	db.Shard(0).Logger().Count() // flush
 	var kinds []core.ActionKind
 	for _, e := range inner.Entries() {
 		if e.Tuple.Unit == core.UnitID(rec.Key) {
@@ -468,7 +468,7 @@ func TestExclusiveReadsBaseline(t *testing.T) {
 	if c := db.Counters(); c.DataReads != 400 {
 		t.Fatalf("reads = %d, want 400", c.DataReads)
 	}
-	if st := db.PolicyEngine().Stats(); st.CacheHits != 0 {
+	if st := db.Shard(0).PolicyEngine().Stats(); st.CacheHits != 0 {
 		t.Fatal("baseline profile used the decision cache")
 	}
 }
@@ -545,7 +545,7 @@ func TestCacheOffMatrixStillCorrect(t *testing.T) {
 			if _, err := db.ReadData(EntityController, PurposeService, rec.Key); !errors.Is(err, ErrDenied) {
 				t.Fatalf("post-revoke read: err = %v, want ErrDenied", err)
 			}
-			if st := db.PolicyEngine().Stats(); st.CacheHits+st.CacheMisses != 0 {
+			if st := db.Shard(0).PolicyEngine().Stats(); st.CacheHits+st.CacheMisses != 0 {
 				t.Fatal("NoDecisionCache profile recorded cache traffic")
 			}
 		})

@@ -92,75 +92,27 @@ func (s *RecoveryStats) merge(o RecoveryStats) {
 	s.TornTails += o.TornTails
 }
 
-// RecoverDB rebuilds a single deployment from the durable image of its
-// WAL segment (DB.SegmentImage of the crashed instance). Block-device
-// profiles cannot be recovered from the image alone — the device is the
-// surviving disk — and must go through ShardedDB.Recover; passing one
-// here is an error rather than a deployment full of dangling sector
+// RecoverSharded rebuilds a deployment from per-shard segment images
+// (ShardedDB.SegmentImages of the crashed instance); the shard count is
+// the image count. Shards recover in parallel over the fanout pool with
+// the default width. Block-device profiles cannot be recovered from
+// images alone — the device is the surviving disk — and must go through
+// ShardedDB.Recover, which carries the devices; mmap profiles go
+// through RecoverShardedWithRegions, which carries the regions. Passing
+// either here is an error rather than a deployment full of dangling
 // references.
-func RecoverDB(p Profile, image []byte) (*DB, RecoveryStats, error) {
-	if p.Backend == BackendMmap {
-		return nil, RecoveryStats{}, fmt.Errorf(
-			"compliance: profile %s keeps its rows in an mmap byte region, which survives the crash; recover with RecoverDBWithRegion, which carries the region", p.Name)
-	}
-	return recoverDBRegion(p, image, nil)
-}
-
-// RecoverDBWithRegion rebuilds a single mmap-backed deployment from its
-// WAL segment image plus the durable byte region (DB.RegionSnapshot of
-// the crashed instance). The region carries the rows; the image carries
-// the logical tail (erase intents, consent revocations, clock notes and
-// any mutations the region's applied-LSN cursor never reached). The
-// region slice is copied, not aliased.
-func RecoverDBWithRegion(p Profile, image, region []byte) (*DB, RecoveryStats, error) {
-	if p.Backend != BackendMmap {
-		return nil, RecoveryStats{}, fmt.Errorf(
-			"compliance: profile %s (backend %q) has no durable byte region; recover with RecoverDB", p.Name, p.Backend)
-	}
-	if region == nil {
-		return nil, RecoveryStats{}, fmt.Errorf(
-			"compliance: profile %s needs its durable region to recover; the segment image alone does not carry the rows", p.Name)
-	}
-	return recoverDBRegion(p, image, region)
-}
-
-func recoverDBRegion(p Profile, image, region []byte) (*DB, RecoveryStats, error) {
-	start := time.Now()
-	if p.UseBlockDev {
-		return nil, RecoveryStats{}, fmt.Errorf(
-			"compliance: profile %s stores payloads on a block device, which survives the crash; recover through ShardedDB.Recover, which carries the devices", p.Name)
-	}
-	if len(p.PayloadKey) == 0 {
-		return nil, RecoveryStats{}, fmt.Errorf(
-			"compliance: profile %s has no payload key; recover with Profile() of the crashed deployment (the key the KMS issued it), not a freshly constructed profile", p.Name)
-	}
-	clock := &core.Clock{}
-	db, st, err := recoverNamed(p, p.Name+":data", clock, image, nil, region)
-	st.Shards = 1
-	st.Elapsed = time.Since(start)
-	return db, st, err
-}
-
-// RecoverSharded rebuilds a sharded deployment from per-shard segment
-// images (ShardedDB.SegmentImages of the crashed instance); the shard
-// count is the image count. Shards recover in parallel over the fanout
-// pool with the default width. Block-device profiles must go through
-// ShardedDB.Recover instead, which carries the surviving devices.
 func RecoverSharded(p Profile, images [][]byte) (*ShardedDB, RecoveryStats, error) {
-	return RecoverShardedWorkers(p, images, 0)
+	return recoverSharded(p, images, nil, nil, 0)
 }
 
-// RecoverShardedWorkers is RecoverSharded with an explicit fan-out
-// width (workers <= 0 selects the default).
-func RecoverShardedWorkers(p Profile, images [][]byte, workers int) (*ShardedDB, RecoveryStats, error) {
-	return recoverSharded(p, images, nil, nil, workers)
-}
-
-// RecoverShardedWithRegions rebuilds a sharded mmap-backed deployment
-// from per-shard segment images plus per-shard durable byte regions
+// RecoverShardedWithRegions rebuilds an mmap-backed deployment from
+// per-shard segment images plus per-shard durable byte regions
 // (ShardedDB.SegmentImages and ShardedDB.RegionSnapshots of the crashed
-// instance). regions[i] pairs with images[i]; both slices must be the
-// same length. Region slices are copied, not aliased.
+// instance). The region carries the rows; the image carries the logical
+// tail (erase intents, consent revocations, clock notes and any
+// mutations the region's applied-LSN cursor never reached). regions[i]
+// pairs with images[i]; both slices must be the same length. Region
+// slices are copied, not aliased.
 func RecoverShardedWithRegions(p Profile, images, regions [][]byte) (*ShardedDB, RecoveryStats, error) {
 	return recoverSharded(p, images, nil, regions, 0)
 }
@@ -189,9 +141,21 @@ func recoverSharded(p Profile, images [][]byte, devs []*cryptox.BlockDev, region
 		return nil, RecoveryStats{}, fmt.Errorf(
 			"compliance: profile %s keeps its rows in mmap byte regions, which survive the crash; recover through ShardedDB.Recover or RecoverShardedWithRegions, which carry the regions", p.Name)
 	}
-	if regions != nil && len(regions) != len(images) {
-		return nil, RecoveryStats{}, fmt.Errorf(
-			"compliance: %d segment images but %d regions; each shard needs both", len(images), len(regions))
+	if regions != nil {
+		if p.Backend != BackendMmap {
+			return nil, RecoveryStats{}, fmt.Errorf(
+				"compliance: profile %s (backend %q) has no durable byte regions; recover with RecoverSharded", p.Name, p.Backend)
+		}
+		if len(regions) != len(images) {
+			return nil, RecoveryStats{}, fmt.Errorf(
+				"compliance: %d segment images but %d regions; each shard needs both", len(images), len(regions))
+		}
+		for i, r := range regions {
+			if r == nil {
+				return nil, RecoveryStats{}, fmt.Errorf(
+					"compliance: shard %d has no durable region; the segment image alone does not carry the rows", i)
+			}
+		}
 	}
 	if !p.UseBlockDev && len(p.PayloadKey) == 0 {
 		return nil, RecoveryStats{}, fmt.Errorf(
@@ -862,9 +826,9 @@ type checkpointState struct {
 	metaBytes     int64
 	rows          []checkpointRow
 	// dir is the encoded key->shard directory in force when the
-	// checkpoint was taken (empty for unsharded deployments). Recovery
-	// adopts the highest-epoch directory any shard's durable state
-	// carries.
+	// checkpoint was taken (empty if the shard had no deployment wired
+	// in yet). Recovery adopts the highest-epoch directory any shard's
+	// durable state carries.
 	dir []byte
 }
 

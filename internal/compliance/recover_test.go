@@ -467,13 +467,13 @@ func runCrashDuringErase(t *testing.T, p Profile) {
 	}
 }
 
-// TestRecoverDBSingle exercises the single-deployment entry point,
+// TestRecoverOneImage exercises a one-shard deployment's recovery,
 // including vacuum records in the log and checkpoint-free recovery.
-func TestRecoverDBSingle(t *testing.T) {
+func TestRecoverOneImage(t *testing.T) {
 	p := PBase()
 	p.VacuumCheckEvery = 1
 	p.VacuumThreshold = 0 // vacuum after every mutation: RecVacuum records land in the WAL
-	db, err := Open(p)
+	db, err := OpenSharded(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +491,7 @@ func TestRecoverDBSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, st, err := RecoverDB(db.Profile(), db.SegmentImage())
+	r, st, err := RecoverSharded(db.Profile(), db.SegmentImages())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -669,7 +669,7 @@ func TestCheckpointerTriggersAndTruncates(t *testing.T) {
 func TestRecoverTrackModelRebuildsMirror(t *testing.T) {
 	p := PBase()
 	p.TrackModel = true
-	db, err := Open(p)
+	db, err := OpenSharded(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -678,11 +678,11 @@ func TestRecoverTrackModelRebuildsMirror(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r, _, err := RecoverDB(db.Profile(), db.SegmentImage())
+	r, _, err := RecoverSharded(db.Profile(), db.SegmentImages())
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, _ := r.Model()
+	model, _ := r.Shard(0).Model()
 	if model == nil {
 		t.Fatal("model mirror missing after recovery")
 	}
@@ -787,8 +787,8 @@ func TestRecoverRejectsBlockDevWithoutDevices(t *testing.T) {
 	if _, _, err := RecoverSharded(PGBench(), s.SegmentImages()); err == nil {
 		t.Fatal("RecoverSharded accepted a block-device profile without devices")
 	}
-	if _, _, err := RecoverDB(PGBench(), s.Shard(0).SegmentImage()); err == nil {
-		t.Fatal("RecoverDB accepted a block-device profile")
+	if _, _, err := RecoverSharded(PGBench(), s.SegmentImages()[:1]); err == nil {
+		t.Fatal("RecoverSharded accepted one image of a block-device profile")
 	}
 	// The supported path still works.
 	if _, _, err := s.Recover(); err != nil {
@@ -920,9 +920,6 @@ func TestRecoverRequiresMaterializedKey(t *testing.T) {
 	if _, _, err := RecoverSharded(PBase(), s.SegmentImages()); err == nil {
 		t.Fatal("recovery accepted a profile without the deployment's payload key")
 	}
-	if _, _, err := RecoverDB(PBase(), s.Shard(0).SegmentImage()); err == nil {
-		t.Fatal("RecoverDB accepted a profile without the deployment's payload key")
-	}
 	if len(s.Profile().PayloadKey) == 0 {
 		t.Fatal("open did not materialize the payload key into the profile")
 	}
@@ -942,7 +939,7 @@ func TestRecoveryStatsString(t *testing.T) {
 // (row-bearing and region) and refuses every other tag.
 func TestDecodeCheckpointStateVersions(t *testing.T) {
 	payload := func(p Profile) []byte {
-		db, err := Open(p)
+		db, err := OpenSharded(p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -950,9 +947,10 @@ func TestDecodeCheckpointStateVersions(t *testing.T) {
 		if err := db.Create(recTestRecord(0)); err != nil {
 			t.Fatal(err)
 		}
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return encodeCheckpointState(db)
+		sh := db.Shard(0)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return encodeCheckpointState(sh)
 	}
 	rows, region := payload(PBase()), payload(mmapTestProfile())
 	retag := func(buf []byte, ver byte) []byte {

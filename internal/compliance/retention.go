@@ -48,7 +48,10 @@ func (db *DB) SweepExpired() (SweepReport, error) {
 	db.mu.RUnlock()
 
 	for _, key := range expired {
-		if err := db.DeleteData(EntitySystem, key); err != nil {
+		db.mu.Lock()
+		err := db.deleteDataLocked(EntitySystem, key)
+		db.mu.Unlock()
+		if err != nil {
 			// Already gone (e.g. removed by an earlier cascade in this
 			// sweep): not an error for the sweeper.
 			continue

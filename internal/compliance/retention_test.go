@@ -73,7 +73,7 @@ func TestSweepBeforeDeadlineKeepsG17Clean(t *testing.T) {
 	// check uses the compliance-erase policy window. The erase happened
 	// within a couple of ticks of the deadline; accept either clean or
 	// late-by-sweep-delay, but the unit must be erased.
-	model, _ := db.Model()
+	model, _ := db.Shard(0).Model()
 	u, ok := model.Lookup(core.UnitID(rec.Key))
 	if !ok || !u.Erased(core.TimeMax-1) {
 		t.Fatal("unit not erased in the model")

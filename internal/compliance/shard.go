@@ -76,6 +76,11 @@ type ShardedDB struct {
 	// atomically under dirMu at a migration's directory flip.
 	subjects *directory
 
+	// dirMisses counts keyed operations the key directory answered
+	// ErrNotFound before any shard was consulted; Counters folds it into
+	// NotFound, so the deployment's tally is the one its clients observe.
+	dirMisses atomic.Uint64
+
 	// reshardMu serializes migrations: one split or merge at a time.
 	reshardMu sync.Mutex
 	// hooks are test-only migration cut points (reshard_test.go).
@@ -229,6 +234,7 @@ func (s *ShardedDB) withKey(key string, exclusive bool, f func(db *DB) error) er
 		}
 		s.dirMu.RUnlock()
 		if !ok {
+			s.dirMisses.Add(1)
 			return fmt.Errorf("%w: %s", ErrNotFound, key)
 		}
 		var unlock func()
@@ -249,6 +255,7 @@ func (s *ShardedDB) withKey(key string, exclusive bool, f func(db *DB) error) er
 		}
 		unlock()
 		if !ok2 {
+			s.dirMisses.Add(1)
 			return fmt.Errorf("%w: %s", ErrNotFound, key)
 		}
 	}
@@ -606,8 +613,8 @@ func (s *ShardedDB) ReadByMeta(entity core.EntityID, purpose core.Purpose, metaP
 
 // Derive creates a derived record from parent records, which may live
 // on different shards. Parents sharing a shard and a subject are
-// derived under that shard's single lock, exactly as an unsharded
-// deployment would, and the derived record stays on that subject's
+// derived under that shard's single lock (DB.deriveLocked), and the
+// derived record stays on that subject's
 // home shard. Cross-subject derivations carry the subject "aggregate"
 // (no single person is identifiable) and are placed by record key;
 // the §3.1 cascade — which only follows same-subject dependents —
@@ -865,9 +872,10 @@ func (s *ShardedDB) AuditWithBreaches(invs *core.InvariantSet) (Report, error) {
 	return s.Audit(full)
 }
 
-// Counters merges the op counters of every shard.
+// Counters merges the op counters of every shard, plus the not-founds
+// the key directory answered on their behalf.
 func (s *ShardedDB) Counters() Counters {
-	var out Counters
+	out := Counters{NotFound: s.dirMisses.Load()}
 	for _, db := range s.view() {
 		c := db.Counters()
 		out.Creates += c.Creates

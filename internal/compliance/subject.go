@@ -24,17 +24,13 @@ type SubjectRecord struct {
 	Payload []byte   `json:"payload"`
 }
 
-// SubjectAccess answers a subject-access request (GDPR Art. 15): every
-// record whose data subject matches, with metadata and (decrypted)
-// payload. The lookup is a table scan — subjects are not the primary
-// key — and each returned record is individually policy-checked.
-func (db *DB) SubjectAccess(subject string) ([]SubjectRecord, error) {
-	// Subject access is a read: it runs under the shared lock, so a
-	// burst of Art.-15 requests does not serialize the shard.
-	defer db.rlock()()
-	return db.subjectAccessLocked(subject)
-}
-
+// subjectAccessLocked answers a subject-access request (GDPR Art. 15):
+// every record whose data subject matches, with metadata and
+// (decrypted) payload. The lookup is a table scan — subjects are not
+// the primary key — and each returned record is individually
+// policy-checked. Subject access is a read: the caller holds the
+// read-path (shared) lock, so a burst of Art.-15 requests does not
+// serialize the shard.
 func (db *DB) subjectAccessLocked(subject string) ([]SubjectRecord, error) {
 	now := db.clock.Tick()
 	want := []byte(subject)
@@ -90,15 +86,9 @@ func (db *DB) subjectAccessLocked(subject string) ([]SubjectRecord, error) {
 	return out, nil
 }
 
-// ExportPortable implements data portability (GDPR Art. 20): the
-// subject's records in a structured, machine-readable format.
-func (db *DB) ExportPortable(subject string) ([]byte, error) {
-	defer db.rlock()()
-	return db.exportPortableLocked(subject)
-}
-
-// exportPortableLocked is ExportPortable's body; caller holds the
-// read-path lock.
+// exportPortableLocked implements data portability (GDPR Art. 20): the
+// subject's records in a structured, machine-readable format. Caller
+// holds the read-path lock.
 func (db *DB) exportPortableLocked(subject string) ([]byte, error) {
 	recs, err := db.subjectAccessLocked(subject)
 	if err != nil {
@@ -110,24 +100,17 @@ func (db *DB) exportPortableLocked(subject string) ([]byte, error) {
 	}{Subject: subject, Records: recs}, "", "  ")
 }
 
-// EraseSubject exercises the right to erasure at subject granularity
-// (GDPR Art. 17 for a whole account): every record whose data subject
-// matches is erased under the profile's grounding, atomically — the
-// scan and the erasures happen under one lock acquisition, so a record
-// collected concurrently either predates the request (and is erased)
-// or postdates it entirely. It returns how many records were erased
-// directly (cascaded dependents are counted in
-// Counters().CascadeDeletes, as elsewhere).
-func (db *DB) EraseSubject(entity core.EntityID, subject string) (int, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.eraseSubjectLocked(entity, subject)
-}
-
-// eraseSubjectLocked is EraseSubject's body; caller holds mu. The
-// sharded facade calls it after validating the subject's routing under
-// this shard's lock, so an erase racing a split always runs against
-// the shard that actually holds the subject's records.
+// eraseSubjectLocked exercises the right to erasure at subject
+// granularity (GDPR Art. 17 for a whole account): every record whose
+// data subject matches is erased under the profile's grounding,
+// atomically — the scan and the erasures happen under one lock
+// acquisition, so a record collected concurrently either predates the
+// request (and is erased) or postdates it entirely. It returns how many
+// records were erased directly (cascaded dependents are counted in
+// Counters().CascadeDeletes, as elsewhere). Caller holds mu:
+// ShardedDB.EraseSubject calls it after validating the subject's
+// routing under this shard's lock, so an erase racing a split always
+// runs against the shard that actually holds the subject's records.
 func (db *DB) eraseSubjectLocked(entity core.EntityID, subject string) (int, error) {
 	want := []byte(subject)
 	var keys []string
@@ -169,17 +152,10 @@ func (db *DB) eraseSubjectLocked(entity core.EntityID, subject string) (int, err
 	return erased, nil
 }
 
-// RevokeConsent withdraws the subject's consent for one (purpose,
+// revokeConsentLocked withdraws the subject's consent for one (purpose,
 // entity) pair on a record (GDPR Art. 7(3): withdrawal must be as easy
 // as granting). Later processing under that pair is denied and the
-// withdrawal itself is recorded.
-func (db *DB) RevokeConsent(key string, purpose core.Purpose, entity core.EntityID) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.revokeConsentLocked(key, purpose, entity)
-}
-
-// revokeConsentLocked is RevokeConsent's body; caller holds mu.
+// withdrawal itself is recorded. Caller holds mu.
 func (db *DB) revokeConsentLocked(key string, purpose core.Purpose, entity core.EntityID) error {
 	now := db.clock.Tick()
 	if _, ok := db.data.Get([]byte(key)); !ok {
@@ -212,16 +188,10 @@ func (db *DB) revokeConsentLocked(key string, purpose core.Purpose, entity core.
 	return nil
 }
 
-// Object records the subject's objection to processing (GDPR Art. 21):
-// the record is flagged and the processor's processing consent is
-// withdrawn, so further processing reads are denied.
-func (db *DB) Object(key string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.objectLocked(key)
-}
-
-// objectLocked is Object's body; caller holds mu.
+// objectLocked records the subject's objection to processing (GDPR
+// Art. 21): the record is flagged and the processor's processing
+// consent is withdrawn, so further processing reads are denied. Caller
+// holds mu.
 func (db *DB) objectLocked(key string) error {
 	now := db.clock.Tick()
 	row, ok := db.data.Get([]byte(key))

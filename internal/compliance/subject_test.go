@@ -12,7 +12,7 @@ import (
 
 // subjectRightsContract runs the subject-rights behaviour shared by all
 // profiles.
-func subjectRightsContract(t *testing.T, mk func(t *testing.T) *DB) {
+func subjectRightsContract(t *testing.T, mk func(t *testing.T) *ShardedDB) {
 	t.Helper()
 
 	t.Run("subject_access_returns_all_records", func(t *testing.T) {
@@ -102,15 +102,15 @@ func subjectRightsContract(t *testing.T, mk func(t *testing.T) *DB) {
 }
 
 func TestSubjectRightsPBase(t *testing.T) {
-	subjectRightsContract(t, func(t *testing.T) *DB { return openProfile(t, PBase(), false) })
+	subjectRightsContract(t, func(t *testing.T) *ShardedDB { return openProfile(t, PBase(), false) })
 }
 
 func TestSubjectRightsPGBench(t *testing.T) {
-	subjectRightsContract(t, func(t *testing.T) *DB { return openProfile(t, PGBench(), false) })
+	subjectRightsContract(t, func(t *testing.T) *ShardedDB { return openProfile(t, PGBench(), false) })
 }
 
 func TestSubjectRightsPSYS(t *testing.T) {
-	subjectRightsContract(t, func(t *testing.T) *DB { return openProfile(t, PSYS(), false) })
+	subjectRightsContract(t, func(t *testing.T) *ShardedDB { return openProfile(t, PSYS(), false) })
 }
 
 func TestObjectionDeniesProcessorFineGrained(t *testing.T) {
@@ -194,7 +194,7 @@ func TestDeriveBasics(t *testing.T) {
 		t.Fatalf("derived payload = %q, want %q", got, want)
 	}
 	// Provenance is recorded.
-	d, ok := db.Provenance().DerivationOf("derived-1")
+	d, ok := db.Shard(0).Provenance().DerivationOf("derived-1")
 	if !ok || len(d.Parents) != 2 || !d.Invertible {
 		t.Fatalf("derivation = %+v, %v", d, ok)
 	}
@@ -207,7 +207,7 @@ func TestDeriveBasics(t *testing.T) {
 		t.Fatalf("derived subject = %q", meta.Subject)
 	}
 	// Model mirror has a derived unit.
-	model, _ := db.Model()
+	model, _ := db.Shard(0).Model()
 	u, ok := model.Lookup("derived-1")
 	if !ok || u.Kind() != core.KindDerived {
 		t.Fatalf("model derived unit missing or wrong kind")
@@ -270,7 +270,7 @@ func TestStrongDeleteCascadesToIdentifiableDependents(t *testing.T) {
 	}
 	// The dependent's log entries are erased too (P_SYS grounding);
 	// only its erase record survives.
-	h, err := db.Logger().ReconstructHistory()
+	h, err := db.Shard(0).Logger().ReconstructHistory()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,11 +352,11 @@ func TestSARIsLoggedAsRequiredAction(t *testing.T) {
 	if err := db.Create(r); err != nil {
 		t.Fatal(err)
 	}
-	before := db.Logger().Count()
+	before := db.Shard(0).Logger().Count()
 	if _, err := db.SubjectAccess("person-7"); err != nil {
 		t.Fatal(err)
 	}
-	if db.Logger().Count() <= before {
+	if db.Shard(0).Logger().Count() <= before {
 		t.Fatal("SAR not logged")
 	}
 }

@@ -39,13 +39,6 @@ func NewScheduler(engine *Engine) *Scheduler { return newScheduler(engine, 1) }
 // GOMAXPROCS at a time.
 func NewShardedScheduler(engine *ShardedEngine) *Scheduler { return newScheduler(engine, 0) }
 
-// NewShardedSchedulerWorkers is NewShardedScheduler with an explicit
-// fan-out width, mirroring the compliance side's OpenShardedWorkers
-// (deployments that bound cross-shard parallelism bound erasure too).
-func NewShardedSchedulerWorkers(engine *ShardedEngine, workers int) *Scheduler {
-	return newScheduler(engine, workers)
-}
-
 func newScheduler(e Eraser, workers int) *Scheduler {
 	return &Scheduler{
 		eraser:  e,

@@ -1,9 +1,10 @@
 // Package loadgen is the concurrent closed-loop workload driver: P
-// client goroutines each replay a deterministic slice of a GDPRBench
-// workload against a subject-sharded compliance deployment, recording
-// per-operation latency into a shared lock-free histogram, and the run
-// is summarized as throughput plus latency quantiles in machine-readable
-// JSON (the BENCH_loadgen.json trajectory CI tracks).
+// clients, each an api.Client dialed in-process or over the wire,
+// replay deterministic slices of a GDPRBench workload against a
+// deployment, recording per-operation latency into a shared lock-free
+// histogram, and the run is summarized as throughput plus latency
+// quantiles in machine-readable JSON (BENCH_loadgen.json,
+// BENCH_network.json).
 package loadgen
 
 import (

@@ -96,46 +96,12 @@ func TestRunWALAccounting(t *testing.T) {
 	if res.SerialWAL {
 		t.Fatal("default run should use group commit")
 	}
-	if !res.StatsOf().GroupCommit {
-		t.Fatal("StatsOf lost the protocol flag")
-	}
-}
-
-// TestWALComparison runs the same config under both commit protocols
-// and checks both complete with identical workload shape.
-func TestWALComparison(t *testing.T) {
-	group, serial, err := WALComparison(smallConfig(gdprbench.Controller, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if group.SerialWAL || !serial.SerialWAL {
-		t.Fatalf("protocol labels wrong: group=%v serial=%v", group.SerialWAL, serial.SerialWAL)
-	}
-	// With one client the replay is deterministic, so the two protocols
-	// must log exactly the same records. (Concurrent replays may differ
-	// by a handful of tolerated not-found races, so equality is only
-	// asserted single-client.)
-	g1, s1, err := WALComparison(smallConfig(gdprbench.Controller, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g1.WALAppends != s1.WALAppends {
-		t.Fatalf("same single-client op stream appended differently: group=%d serial=%d",
-			g1.WALAppends, s1.WALAppends)
-	}
-	// Serial pays one sync per append, by construction.
-	if serial.WALSyncs != serial.WALAppends {
-		t.Fatalf("serial run syncs=%d appends=%d", serial.WALSyncs, serial.WALAppends)
-	}
-	if group.WALSyncs > group.WALAppends {
-		t.Fatalf("group run syncs=%d appends=%d", group.WALSyncs, group.WALAppends)
-	}
 }
 
 func TestResultValidate(t *testing.T) {
 	good := Result{
-		Ops: 10, OpsPerSec: 5, ElapsedSeconds: 2,
-		P50Micros: 1, P95Micros: 2, P99Micros: 3, MaxMicros: 4,
+		Measured: Measured{Ops: 10, OpsPerSec: 5, ElapsedSeconds: 2,
+			P50Micros: 1, P95Micros: 2, P99Micros: 3, MaxMicros: 4},
 		Clients: 1, Shards: 1, WALAppends: 5, WALSyncs: 3,
 	}
 	if err := good.Validate(); err != nil {
@@ -175,23 +141,21 @@ func TestRunWithPSYSProfile(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	res := Result{Workload: "WCon", Profile: "P_Base", Shards: 8, Clients: 4,
-		Ops: 100, OpsPerSec: 1234, P50Micros: 1, P95Micros: 2, P99Micros: 3}
+	res := Result{Measured: Measured{Workload: "WCon", Profile: "P_Base",
+		Ops: 100, OpsPerSec: 1234, P50Micros: 1, P95Micros: 2, P99Micros: 3}, Shards: 8, Clients: 4}
 	if res.String() == "" {
 		t.Fatal("empty render")
 	}
 }
 
 func TestActorMapping(t *testing.T) {
-	e, p := ActorFor(gdprbench.Processor)
-	if e != compliance.EntityProcessor || p != compliance.PurposeProcessing {
-		t.Fatalf("WPro actor = %s/%s", e, p)
+	if a := ActorFor(gdprbench.Processor); a != (Actor{compliance.EntityProcessor, compliance.PurposeProcessing}) {
+		t.Fatalf("WPro actor = %+v", a)
 	}
-	e, p = ActorFor(gdprbench.Customer)
-	if e != compliance.EntitySubjectSvc || p != compliance.PurposeSubjectAccess {
-		t.Fatalf("WCus actor = %s/%s", e, p)
+	if a := ActorFor(gdprbench.Customer); a != (Actor{compliance.EntitySubjectSvc, compliance.PurposeSubjectAccess}) {
+		t.Fatalf("WCus actor = %+v", a)
 	}
-	if _, p := ActorFor(gdprbench.Controller); p != compliance.PurposeService {
-		t.Fatalf("WCon purpose = %s", p)
+	if a := ActorFor(gdprbench.Controller); a.Purpose != compliance.PurposeService {
+		t.Fatalf("WCon purpose = %s", a.Purpose)
 	}
 }

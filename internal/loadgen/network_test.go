@@ -29,9 +29,9 @@ func TestRunNetworkSmoke(t *testing.T) {
 
 func TestNetworkResultString(t *testing.T) {
 	s := NetworkResult{
-		Workload: "wcon", Profile: "P_Base", Servers: 2, ShardsPerServer: 4,
-		Conns: 64, Ops: 1000, OpsPerSec: 1234,
-		P50Micros: 10, P95Micros: 20, P99Micros: 30,
+		Measured: Measured{Workload: "wcon", Profile: "P_Base", Ops: 1000, OpsPerSec: 1234,
+			P50Micros: 10, P95Micros: 20, P99Micros: 30},
+		Servers: 2, ShardsPerServer: 4, Conns: 64,
 	}.String()
 	for _, want := range []string{"wcon", "servers=2×4", "conns=64", "p99=30.0µs"} {
 		if !strings.Contains(s, want) {
@@ -42,8 +42,8 @@ func TestNetworkResultString(t *testing.T) {
 
 func TestNetworkResultValidate(t *testing.T) {
 	good := NetworkResult{
-		Ops: 10, OpsPerSec: 5, ElapsedSeconds: 2,
-		P50Micros: 1, P95Micros: 2, P99Micros: 3, MaxMicros: 4,
+		Measured: Measured{Ops: 10, OpsPerSec: 5, ElapsedSeconds: 2,
+			P50Micros: 1, P95Micros: 2, P99Micros: 3, MaxMicros: 4},
 		Conns: 4, Servers: 2, ShardsPerServer: 2, SelfHosted: true,
 	}
 	if err := good.Validate(); err != nil {

@@ -7,13 +7,26 @@ import (
 	"github.com/datacase/datacase/internal/api"
 )
 
-// ReadOnly wraps a Client so that every mutation fails with
-// api.ErrReadOnlyReplica while reads pass through. The sentinel
-// survives the wire (CodeReadOnly), so a remote caller of a served
-// replica sees the same errors.Is identity an in-process one does.
-func ReadOnly(inner api.Client) api.Client { return readOnly{inner} }
+// readOnly is the read replica's client: every mutation fails with
+// api.ErrReadOnlyReplica while reads go to the client `reads` resolves
+// per call. The sentinel survives the wire (CodeReadOnly), so a remote
+// caller of a served replica sees the same errors.Is identity an
+// in-process one does.
+type readOnly struct {
+	// reads resolves the client a read is served from: a fixed one
+	// (ReadOnly), or the replica's current generation (Replica.Client),
+	// which keeps the one client handed out valid across resyncs.
+	reads func() api.Client
+	// close is the inner client's Close; a no-op for Replica.Client,
+	// whose lifecycle belongs to Replica.Close.
+	close func() error
+}
 
-type readOnly struct{ inner api.Client }
+// ReadOnly wraps a Client so that every mutation fails with
+// api.ErrReadOnlyReplica while reads pass through.
+func ReadOnly(inner api.Client) api.Client {
+	return readOnly{reads: func() api.Client { return inner }, close: inner.Close}
+}
 
 func roErr(op string) error { return fmt.Errorf("%w: %s", api.ErrReadOnlyReplica, op) }
 
@@ -46,79 +59,23 @@ func (c readOnly) Revoke(context.Context, api.RevokeRequest) (api.RevokeResponse
 }
 
 func (c readOnly) ReadData(ctx context.Context, req api.ReadDataRequest) (api.ReadDataResponse, error) {
-	return c.inner.ReadData(ctx, req)
+	return c.reads().ReadData(ctx, req)
 }
 
 func (c readOnly) ReadMeta(ctx context.Context, req api.ReadMetaRequest) (api.ReadMetaResponse, error) {
-	return c.inner.ReadMeta(ctx, req)
+	return c.reads().ReadMeta(ctx, req)
 }
 
 func (c readOnly) ReadByMeta(ctx context.Context, req api.ReadByMetaRequest) (api.ReadByMetaResponse, error) {
-	return c.inner.ReadByMeta(ctx, req)
+	return c.reads().ReadByMeta(ctx, req)
 }
 
 func (c readOnly) SubjectAccess(ctx context.Context, req api.SubjectAccessRequest) (api.SubjectAccessResponse, error) {
-	return c.inner.SubjectAccess(ctx, req)
+	return c.reads().SubjectAccess(ctx, req)
 }
 
 func (c readOnly) Audit(ctx context.Context, req api.AuditRequest) (api.AuditResponse, error) {
-	return c.inner.Audit(ctx, req)
+	return c.reads().Audit(ctx, req)
 }
 
-func (c readOnly) Close() error { return c.inner.Close() }
-
-// replicaBackend adapts a Replica to api.Client by delegating every
-// call to the replica's current generation, so the one Client handed
-// out by Replica.Client stays valid across resyncs. Closing it is a
-// no-op: the replica's lifecycle belongs to Replica.Close.
-type replicaBackend struct{ r *Replica }
-
-func (b replicaBackend) Create(ctx context.Context, req api.CreateRequest) (api.CreateResponse, error) {
-	return b.r.localClient().Create(ctx, req)
-}
-
-func (b replicaBackend) CreateBatch(ctx context.Context, req api.CreateBatchRequest) (api.CreateBatchResponse, error) {
-	return b.r.localClient().CreateBatch(ctx, req)
-}
-
-func (b replicaBackend) ReadData(ctx context.Context, req api.ReadDataRequest) (api.ReadDataResponse, error) {
-	return b.r.localClient().ReadData(ctx, req)
-}
-
-func (b replicaBackend) UpdateData(ctx context.Context, req api.UpdateDataRequest) (api.UpdateDataResponse, error) {
-	return b.r.localClient().UpdateData(ctx, req)
-}
-
-func (b replicaBackend) DeleteData(ctx context.Context, req api.DeleteDataRequest) (api.DeleteDataResponse, error) {
-	return b.r.localClient().DeleteData(ctx, req)
-}
-
-func (b replicaBackend) ReadMeta(ctx context.Context, req api.ReadMetaRequest) (api.ReadMetaResponse, error) {
-	return b.r.localClient().ReadMeta(ctx, req)
-}
-
-func (b replicaBackend) UpdateMeta(ctx context.Context, req api.UpdateMetaRequest) (api.UpdateMetaResponse, error) {
-	return b.r.localClient().UpdateMeta(ctx, req)
-}
-
-func (b replicaBackend) ReadByMeta(ctx context.Context, req api.ReadByMetaRequest) (api.ReadByMetaResponse, error) {
-	return b.r.localClient().ReadByMeta(ctx, req)
-}
-
-func (b replicaBackend) SubjectAccess(ctx context.Context, req api.SubjectAccessRequest) (api.SubjectAccessResponse, error) {
-	return b.r.localClient().SubjectAccess(ctx, req)
-}
-
-func (b replicaBackend) EraseSubject(ctx context.Context, req api.EraseSubjectRequest) (api.EraseSubjectResponse, error) {
-	return b.r.localClient().EraseSubject(ctx, req)
-}
-
-func (b replicaBackend) Revoke(ctx context.Context, req api.RevokeRequest) (api.RevokeResponse, error) {
-	return b.r.localClient().Revoke(ctx, req)
-}
-
-func (b replicaBackend) Audit(ctx context.Context, req api.AuditRequest) (api.AuditResponse, error) {
-	return b.r.localClient().Audit(ctx, req)
-}
-
-func (b replicaBackend) Close() error { return nil }
+func (c readOnly) Close() error { return c.close() }

@@ -118,7 +118,9 @@ func (r *Replica) DB() *compliance.ShardedDB {
 // from the replicated state, mutations fail with
 // api.ErrReadOnlyReplica. The client stays valid across resyncs.
 // Closing it does not close the replica.
-func (r *Replica) Client() api.Client { return ReadOnly(replicaBackend{r}) }
+func (r *Replica) Client() api.Client {
+	return readOnly{reads: r.localClient, close: func() error { return nil }}
+}
 
 // Applied returns the highest primary LSN applied for a shard.
 func (r *Replica) Applied(shard int) wal.LSN {

@@ -306,7 +306,7 @@ func keyed[T any](r *Router, key string, f func(c *RemoteClient) (T, error)) (T,
 	p, ok := r.keys[key]
 	r.mu.RUnlock()
 	if ok {
-		out, err := f2(r, p.addr, f)
+		out, err := withBackend(r, p.addr, f)
 		if err != nil && errors.Is(err, compliance.ErrNotFound) {
 			r.unpinKey(key)
 		}
@@ -314,7 +314,7 @@ func keyed[T any](r *Router, key string, f func(c *RemoteClient) (T, error)) (T,
 	}
 	var lastNotFound error
 	for _, addr := range r.topo.Load().addrs {
-		out, err := f2(r, addr, f)
+		out, err := withBackend(r, addr, f)
 		switch {
 		case err == nil:
 			r.pin("", key, addr)
@@ -338,11 +338,6 @@ func keyed[T any](r *Router, key string, f func(c *RemoteClient) (T, error)) (T,
 		lastNotFound = fmt.Errorf("%w: %s", compliance.ErrNotFound, key)
 	}
 	return zero, lastNotFound
-}
-
-// f2 adapts withBackend for keyed's closure shape.
-func f2[T any](r *Router, addr string, f func(c *RemoteClient) (T, error)) (T, error) {
-	return withBackend(r, addr, f)
 }
 
 // ReadData routes by key.
